@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .desirability import compose, path_integral_estimate
@@ -53,9 +54,15 @@ def _solution_payload(solution) -> dict:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    """Write strict JSON: a non-finite value raises ValueError (exit code 1)
+    instead of writing NaN/Infinity, and leaves no truncated file behind."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+    except ValueError:
+        os.remove(path)
+        raise
 
 
 def _write_solution_csv(path, solution) -> None:

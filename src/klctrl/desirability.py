@@ -197,6 +197,8 @@ def path_integral_estimate(
         raise ValueError("state out of range")
     if num_samples < 1:
         raise ValueError("need at least one sample")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     steps = T - t
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     draws = rng.random((num_samples, max(steps, 1), 2))

@@ -4,7 +4,9 @@
 soft-policy surrogate with the baseline pinned to the previous iterate
 (majorize, then minimize).  ``em_solve`` runs expectation-maximization on the
 optimality-likelihood reading of the risk-seeking objective; its iterates
-coincide with the synchronized MM fixed-point iteration.
+coincide with the synchronized MM fixed-point iteration.  Neither enumerates
+trajectories: objectives come from backward evaluation of the iterate and
+the E-step from one linear (desirability) pass.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import oracle
+from .desirability import linear_backward, policy_from_desirability
 from .model import ControlProblem, Policy
+from .risk import tilted_rows
 from .solvers import (
     Formulation,
     Solution,
@@ -44,7 +47,7 @@ class IterationTrace:
     surrogate_objective: List[float] = field(default_factory=list)
     true_objective: List[float] = field(default_factory=list)
     policy_delta: List[float] = field(default_factory=list)
-    value_delta: List[float] = field(default_factory=list)
+    value_delta: List[Optional[float]] = field(default_factory=list)
     policy_iterates: List[np.ndarray] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
@@ -100,8 +103,9 @@ def mm_solve(
         pi_next = Policy(_floor_support(solution.pi_star.table))
         j_next = true_objective(pi_next)
         delta_pi = float(np.max(np.abs(pi_next.table - pi_k.table)))
+        # None on the first iteration: there is no previous V to compare with
         delta_v = (
-            float(np.max(np.abs(solution.V - v_prev))) if v_prev is not None else np.inf
+            float(np.max(np.abs(solution.V - v_prev))) if v_prev is not None else None
         )
         trace.surrogate_objective.append(initial_value(problem, solution))
         trace.true_objective.append(j_next)
@@ -123,36 +127,42 @@ def mm_solve(
     return solution, trace
 
 
-def _m_step(posterior: oracle.TrajectoryTable, current: Policy) -> Policy:
-    """Posterior conditional action frequencies; zero-mass rows keep current."""
-    problem = posterior.problem
-    T, S, A = problem.horizon, problem.num_states, problem.num_actions
-    joint = np.zeros((T, S, A))
-    for t in range(T):
-        np.add.at(
-            joint[t], (posterior.states[:, t], posterior.actions[:, t]), posterior.probs
-        )
-    marginal = joint.sum(axis=-1)
-    table = current.table.copy()
-    reach = marginal > 0
-    table[reach] = joint[reach] / marginal[reach][:, None]
-    return Policy(table)
+def _weighted_log(weights: np.ndarray, probs: np.ndarray) -> float:
+    """sum of weights * log(probs) over the entries with positive weight."""
+    sel = weights > 0
+    return float(weights[sel] @ np.log(probs[sel]))
 
 
-def _complete_data_loglik(posterior: oracle.TrajectoryTable, policy: Policy, lam: float) -> float:
-    """E_q[log p(trajectory, optimality)] under the new policy, up to the
-    normalizing constant of the optimality likelihood."""
-    problem = posterior.problem
-    with np.errstate(divide="ignore"):
-        log_p0 = np.log(problem.initial_distribution[posterior.states[:, 0]])
-    total = log_p0 - lam * posterior.costs
+def _e_step(problem: ControlProblem, policy: Policy, lam: float):
+    """The optimality posterior under ``policy`` from one linear pass.
+
+    With ``policy`` as the baseline, z_t = exp(-lam V_t) of the linear
+    recursion tilts the trajectory prior by exp(-lam cost).  The posterior is
+    Markov: initial law proportional to p(x0) z_0, policy the desirability
+    policy, kernel proportional to iota z_{t+1}.  Returns the posterior policy,
+    with rows the posterior never reaches (exactly those ``policy`` never
+    reaches) kept at ``policy``, and the expected complete-data
+    log-likelihood under it, up to the optimality normalizer, summed from the
+    posterior's forward marginals.
+    """
+    sub = problem.replace(baseline_policy=policy)
+    d = linear_backward(sub, lam)
+    conditional = policy_from_desirability(sub, d).table
+    V = d.values()
+    iota = problem.baseline_kernels.table
+    table = policy.table.copy()
+    m = tilted_rows(problem.initial_distribution, V[0], lam)
+    loglik = _weighted_log(m, problem.initial_distribution)
     for t in range(problem.horizon):
-        x, u = posterior.states[:, t], posterior.actions[:, t]
-        y = posterior.states[:, t + 1]
-        with np.errstate(divide="ignore"):
-            total = total + np.log(policy.table[t][x, u])
-            total = total + np.log(problem.baseline_kernels.table[t][x, u, y])
-    return float(posterior.probs @ total)
+        reach = m > 0
+        table[t][reach] = conditional[t][reach]
+        joint = m[:, None] * conditional[t]
+        flow = joint[:, :, None] * tilted_rows(iota[t], V[t + 1][None, None, :], lam)
+        loglik += _weighted_log(joint, conditional[t]) + _weighted_log(flow, iota[t])
+        loglik -= lam * float((joint * problem.stage_costs[t]).sum())
+        m = flow.sum(axis=(0, 1))
+    loglik -= lam * float(m @ problem.terminal_cost)
+    return Policy(table), loglik
 
 
 def em_solve(
@@ -164,8 +174,9 @@ def em_solve(
 ):
     """Expectation-maximization for the optimality-likelihood objective.
 
-    E-step: exact trajectory posterior under the current policy.  M-step:
-    conditional action frequencies of that posterior.  The recorded true
+    E-step: the trajectory posterior under the current policy, from one
+    linear (desirability) pass with that policy as the baseline.  M-step:
+    the posterior's conditional policy.  The recorded true
     objective is the exponential-utility value, which is non-increasing.
     Returns (Policy, trace); converged is False if max_iters ran out.
     """
@@ -176,11 +187,10 @@ def em_solve(
     trace.policy_iterates.append(pi_k.table)
     j_prev = rsoc_value(problem, pi_k, lam)
     for _ in range(max_iters):
-        posterior = oracle.exact_posterior(problem, pi_k, lam)
-        pi_next = _m_step(posterior, pi_k)
+        pi_next, surrogate = _e_step(problem, pi_k, lam)
         j_next = rsoc_value(problem, pi_next, lam)
         delta_pi = float(np.max(np.abs(pi_next.table - pi_k.table)))
-        trace.surrogate_objective.append(_complete_data_loglik(posterior, pi_next, lam))
+        trace.surrogate_objective.append(surrogate)
         trace.true_objective.append(j_next)
         trace.policy_delta.append(delta_pi)
         trace.value_delta.append(abs(j_next - j_prev))

@@ -270,7 +270,7 @@ def state_marginals(
     return m
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray, name: str) -> np.ndarray:
+def kl_rows(p: np.ndarray, q: np.ndarray, name: str) -> np.ndarray:
     """Rowwise KL(p || q) over the last axis, with 0 log 0 = 0."""
     bad = (p > 0) & (q == 0)
     if bad.any():
@@ -301,14 +301,14 @@ def trajectory_kl(
         reach = marg[t] > 0
         if not reach.any():
             continue
-        kl_pi = _kl_rows(
+        kl_pi = kl_rows(
             policy_a.table[t][reach], policy_b.table[t][reach], f"pi[{t}]"
         )
         d_pi += float(marg[t][reach] @ kl_pi)
         joint = marg[t][:, None] * policy_a.table[t]
         sel = joint > 0
         if sel.any():
-            kl_tau = _kl_rows(
+            kl_tau = kl_rows(
                 kernel_a.table[t][sel], kernel_b.table[t][sel], f"tau[{t}]"
             )
             d_tau += float(joint[sel] @ kl_tau)

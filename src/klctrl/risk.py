@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import SupportViolationError
+from .model import kl_rows
 
 MIN_ABS_LAMBDA = 1e-12
 
@@ -78,18 +78,6 @@ def tilted_distribution(mu, f, lam) -> np.ndarray:
     return out
 
 
-def kl_divergence(p, q) -> float:
-    """KL(p || q) with the 0 log 0 = 0 convention; errors off support."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    bad = (p > 0) & (q == 0)
-    if bad.any():
-        idx = int(np.argwhere(bad)[0][0])
-        raise SupportViolationError(f"candidate({idx},): mass outside support")
-    sel = p > 0
-    return float((p[sel] * (np.log(p[sel]) - np.log(q[sel]))).sum())
-
-
 def dual_certificate(mu, f, lam, candidate) -> float:
     """E_candidate[f] + (1/lam) KL(candidate || mu).
 
@@ -101,7 +89,7 @@ def dual_certificate(mu, f, lam, candidate) -> float:
     f = np.asarray(f, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
     _check_inputs(mu, f)
-    return float(candidate @ f + kl_divergence(candidate, mu) / lam)
+    return float(candidate @ f + kl_rows(candidate, mu, "candidate").sum() / lam)
 
 
 def entropic_risk_rows(mu: np.ndarray, f: np.ndarray, lam: float, axis: int = -1):

@@ -3,8 +3,11 @@
 ``solve_central`` implements the two-weight recursion (risk over transitions
 with weight lambda_s, risk over actions with weight lambda_p); the classical
 and soft formulations are dispatched from it or from their own specialized
-recursions.  ``evaluate_objective`` scores arbitrary decision variables by
-exhaustive enumeration, so every solver output can be cross-checked.
+recursions.  ``_evaluate`` is the matching backward evaluator for fixed
+decision variables, behind ``expected_cost_under``, ``rsoc_value``,
+``regularized_policy_value`` and ``central_policy_value``.
+``evaluate_objective`` scores arbitrary decision variables by exhaustive
+enumeration instead, so every solver output can be cross-checked.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .model import (
     ControlProblem,
     Policy,
     ProblemValidationError,
-    SupportViolationError,
     TransitionKernel,
+    kl_rows,
     trajectory_kl,
     validate_problem,
 )
@@ -192,27 +195,71 @@ def solve_formulation(
     return Solution(form, sol.V, sol.Q, sol.pi_star, sol.tau_star)
 
 
+def _evaluate(
+    problem: ControlProblem,
+    policy: Policy,
+    kernel: Optional[TransitionKernel] = None,
+    *,
+    weight_s: Optional[float] = None,
+    risk_s: bool = False,
+    weight_p: Optional[float] = None,
+    risk_p: bool = False,
+    reference: Optional[Policy] = None,
+) -> float:
+    """Backward evaluation of a fixed policy (and kernel): sum_x p(x0) W_0(x0).
+
+    Transition step: with ``risk_s``, the entropic risk of W_{t+1} over the
+    baseline kernels with weight ``weight_s``; otherwise its expectation under
+    ``kernel`` (default: the baseline kernels), plus KL(kernel || baseline) /
+    weight_s when both are given.  Policy step: with ``risk_p``, the entropic
+    risk over ``policy`` with weight ``weight_p``; otherwise the expectation
+    under ``policy``, plus KL(policy || reference) / weight_p when a weight is
+    given (``reference`` defaults to the baseline policy).  O(T S^2 A), no
+    trajectory enumeration.
+    """
+    iota = problem.baseline_kernels.table
+    pi = policy.table
+    kl_tau = None
+    if kernel is not None and weight_s is not None:
+        kl_tau = kl_rows(kernel.table, iota, "tau") / weight_s
+    tau = iota if kernel is None else kernel.table
+    kl_pi = None
+    if weight_p is not None and not risk_p:
+        ref = problem.baseline_policy if reference is None else reference
+        kl_pi = kl_rows(pi, ref.table, "pi") / weight_p
+    W = problem.terminal_cost
+    for t in reversed(range(problem.horizon)):
+        if risk_s:
+            q = problem.stage_costs[t] + entropic_risk_rows(
+                iota[t], W[None, None, :], weight_s
+            )
+        else:
+            q = problem.stage_costs[t] + tau[t] @ W
+            if kl_tau is not None:
+                q = q + kl_tau[t]
+        if risk_p:
+            W = entropic_risk_rows(pi[t], q, weight_p)
+        else:
+            W = (pi[t] * q).sum(axis=-1)
+            if kl_pi is not None:
+                W = W + kl_pi[t]
+    return float(problem.initial_distribution @ W)
+
+
 def expected_cost_under(problem: ControlProblem, policy: Policy) -> float:
     """Exact expected cumulative cost under (policy, baseline kernels)."""
-    table = oracle.enumerate_trajectories(problem, policy, problem.baseline_kernels)
-    return oracle.expected_cost(table)
+    return _evaluate(problem, policy)
 
 
 def rsoc_value(problem: ControlProblem, policy: Policy, lam: float) -> float:
-    """Closed-form exponential-utility value of a fixed policy, exactly.
+    """Exponential-utility value of a fixed policy, exactly.
 
     The risk is taken conditionally on each initial state and averaged under
     the initial distribution, matching the Σ p(x0) V_0(x0) aggregation used
-    by every solver.
+    by every solver.  Conditional on x0 the risk of the whole trajectory cost
+    nests stage by stage, over actions and transitions alike.
     """
-    table = oracle.enumerate_trajectories(problem, policy, problem.baseline_kernels)
-    p0 = problem.initial_distribution
-    x0 = table.states[:, 0]
-    value = 0.0
-    for x in np.nonzero(p0)[0]:
-        mask = x0 == x
-        value += p0[x] * entropic_risk(table.probs[mask] / p0[x], table.costs[mask], lam)
-    return float(value)
+    return _evaluate(problem, policy, weight_s=lam, risk_s=True, weight_p=lam, risk_p=True)
 
 
 def evaluate_objective(
@@ -229,7 +276,8 @@ def evaluate_objective(
     Expectations are taken by exhaustive trajectory enumeration; the KL terms
     are stagewise expectations under the induced trajectory distribution.  A
     kernel is required whenever transitions are free (central, sp_rsoc); for
-    rsoc without a kernel the closed-form value is returned.
+    rsoc without a kernel the exponential-utility value of the policy is
+    returned, with the risk taken per initial state.
     """
     form = Formulation(form)
     _require_valid(problem)
@@ -238,17 +286,28 @@ def evaluate_objective(
     if form in (Formulation.SOC, Formulation.DOC):
         if kernel is not None:
             raise ValueError(f"{form.value} has no free transition kernel")
-        return expected_cost_under(problem, policy)
+        return oracle.expected_cost(oracle.enumerate_trajectories(problem, policy, iota))
     if form in (Formulation.SP_SOC, Formulation.SP_DOC):
         if kernel is not None:
             raise ValueError(f"{form.value} has no free transition kernel")
         lam_p = _require_lambda_p(problem)
         d_pi, _ = trajectory_kl(policy, rho, iota, iota, problem)
-        return expected_cost_under(problem, policy) + d_pi / lam_p
+        table = oracle.enumerate_trajectories(problem, policy, iota)
+        return oracle.expected_cost(table) + d_pi / lam_p
     if form is Formulation.RSOC:
         lam_s = _require_lambda_s(problem)
         if kernel is None:
-            return rsoc_value(problem, policy, lam_s)
+            # risk conditional on each initial state, averaged under p(x0)
+            table = oracle.enumerate_trajectories(problem, policy, iota)
+            p0 = problem.initial_distribution
+            x0 = table.states[:, 0]
+            value = 0.0
+            for x in np.nonzero(p0)[0]:
+                mask = x0 == x
+                value += p0[x] * entropic_risk(
+                    table.probs[mask] / p0[x], table.costs[mask], lam_s
+                )
+            return float(value)
         table = oracle.enumerate_trajectories(problem, policy, kernel)
         _, d_tau = trajectory_kl(policy, policy, kernel, iota, problem)
         return oracle.expected_cost(table) + d_tau / lam_s
@@ -285,37 +344,14 @@ def regularized_policy_value(
     """
     if target not in ("soc", "rsoc"):
         raise ValueError(f"unknown target {target!r}")
-    T, S = problem.horizon, problem.num_states
     lam_s = _require_lambda_s(problem) if target == "rsoc" else None
-    if ((policy.table > 0) & (baseline.table == 0)).any():
-        raise ValueError("policy support exceeds the baseline support")
-    log_ratio = np.where(
-        policy.table > 0,
-        np.log(np.where(policy.table > 0, policy.table, 1.0))
-        - np.log(np.where(baseline.table > 0, baseline.table, 1.0)),
-        0.0,
-    )
-    W = problem.terminal_cost.copy()
-    for t in reversed(range(T)):
-        if target == "soc":
-            q = problem.stage_costs[t] + _expected_next(problem, t, W)
-        else:
-            q = problem.stage_costs[t] + entropic_risk_rows(
-                problem.baseline_kernels.table[t], W[None, None, :], lam_s
-            )
-        kl_term = (policy.table[t] * log_ratio[t]).sum(axis=-1) / lambda_p
-        W = (policy.table[t] * q).sum(axis=-1) + kl_term
-    return float(problem.initial_distribution @ W)
-
-
-def _log_ratio(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
-    """Elementwise log(num/den) with 0 log 0 = 0; num must stay in den's support."""
-    if ((num > 0) & (den == 0)).any():
-        raise SupportViolationError(f"{what} support exceeds the baseline support")
-    return np.where(
-        num > 0,
-        np.log(np.where(num > 0, num, 1.0)) - np.log(np.where(den > 0, den, 1.0)),
-        0.0,
+    return _evaluate(
+        problem,
+        policy,
+        weight_s=lam_s,
+        risk_s=target == "rsoc",
+        weight_p=lambda_p,
+        reference=baseline,
     )
 
 
@@ -329,13 +365,4 @@ def central_policy_value(
     """
     lam_p = _require_lambda_p(problem)
     lam_s = _require_lambda_s(problem)
-    ratio_pi = _log_ratio(policy.table, problem.baseline_policy.table, "policy")
-    ratio_tau = _log_ratio(kernel.table, problem.baseline_kernels.table, "kernel")
-    V = problem.terminal_cost.copy()
-    for t in reversed(range(problem.horizon)):
-        per_ua = (
-            problem.stage_costs[t]
-            + (kernel.table[t] * (ratio_tau[t] / lam_s + V[None, None, :])).sum(axis=-1)
-        )
-        V = (policy.table[t] * (per_ua + ratio_pi[t] / lam_p)).sum(axis=-1)
-    return float(problem.initial_distribution @ V)
+    return _evaluate(problem, policy, kernel, weight_s=lam_s, weight_p=lam_p)

@@ -5,7 +5,10 @@ totals, Bellman residuals, objective consistency, no-improvement under random
 perturbations, deterministic-policy sweeps, the deterministic-dynamics
 collapse, the linear/path-integral equivalences and compositionality.
 Checks that do not apply to the instance (wrong sign of lambda_s, missing
-weights, infeasible sweeps) are skipped, not failed.
+weights, infeasible deterministic-policy sweeps) are skipped, not failed.
+The checks enumerate the baseline trajectories, so a problem whose
+enumeration exceeds the trajectory cap raises ``EnumerationCapError`` (exit
+code 2 from the CLI); only the infeasible policy sweeps are skipped.
 """
 
 from __future__ import annotations

@@ -163,6 +163,12 @@ def test_path_integral_argument_validation(m1):
         path_integral_estimate(m1, 1.0, 0, 0, num_samples=0, seed=0)
 
 
+def test_path_integral_rejects_nonpositive_chunk_size(m1):
+    for chunk in (0, -5):
+        with pytest.raises(ValueError, match="chunk_size"):
+            path_integral_estimate(m1, 1.0, 0, 0, num_samples=10, seed=0, chunk_size=chunk)
+
+
 def test_compose_single_component_is_the_identity(rng):
     problem = random_problem(rng)
     comps = ComponentSet(problem.terminal_cost[None, :], [1.0])

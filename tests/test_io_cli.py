@@ -229,6 +229,73 @@ def test_cli_sample_z_is_chunk_independent(tmp_path):
     assert payloads[0]["standard_error"] == payloads[1]["standard_error"]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON literal {name}")
+
+
+def test_cli_mm_writes_strict_json(tmp_path):
+    out = tmp_path / "mm.json"
+    assert main(
+        [
+            "mm",
+            "--problem", str(bundled_problem_path("grid4x4")),
+            "--target", "rsoc",
+            "--lambda-p", "1",
+            "--tol", "0",
+            "--max-iters", "3",
+            "--out", str(out),
+        ]
+    ) == 0
+    payload = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    deltas = [row["value_delta"] for row in payload["trace"]]
+    assert deltas[0] is None
+    assert all(np.isfinite(deltas[1:]))
+
+
+def test_cli_sample_z_rejects_nonpositive_chunk_size(tmp_path, capsys):
+    out = tmp_path / "z.json"
+    code = main(
+        [
+            "sample-z",
+            "--problem", str(bundled_problem_path("chain5")),
+            "--lambda", "1.0",
+            "--t", "0",
+            "--state", "0",
+            "--samples", "1000",
+            "--seed", "0",
+            "--chunk-size", "-5",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "chunk_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_refuses_to_write_a_non_finite_value(tmp_path, capsys):
+    # exp(-lambda * cost) overflows to inf on the cheap terminal state
+    m1, _ = load_bundled_problem("m1")
+    path = tmp_path / "steep.json"
+    dump_problem(m1.replace(terminal_cost=[-1000.0, 0.0]), path)
+    out = tmp_path / "z.json"
+    code = main(
+        [
+            "sample-z",
+            "--problem", str(path),
+            "--lambda", "1.0",
+            "--t", "0",
+            "--state", "0",
+            "--samples", "100",
+            "--seed", "0",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_compose(tmp_path):
     out = tmp_path / "comp.json"
     assert main(
@@ -297,15 +364,5 @@ def test_cli_cap_exit_code(tmp_path, rng):
     problem = random_problem(rng, num_states=6, num_actions=6, horizon=6)
     path = tmp_path / "big.json"
     dump_problem(problem, path)
-    out = tmp_path / "out.json"
-    code = main(
-        [
-            "em",
-            "--problem", str(path),
-            "--lambda", "1.0",
-            "--tol", "1e-8",
-            "--max-iters", "3",
-            "--out", str(out),
-        ]
-    )
+    code = main(["verify", "--problem", str(path)])
     assert code == 2

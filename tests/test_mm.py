@@ -146,6 +146,28 @@ def test_em_matches_synchronized_mm_iterates_on_m1(m1):
         np.testing.assert_allclose(a[0, 0], b[0, 0], atol=1e-10)
 
 
+def test_em_keeps_the_unreachable_row_of_the_current_iterate(m1):
+    _, trace = em_solve(m1, lam=1.0, tol=0.0, max_iters=5)
+    # s1 has no mass at t=0, so its row stays at the baseline [0.5, 0.5]
+    for table in trace.policy_iterates:
+        np.testing.assert_array_equal(table[0, 1], [0.5, 0.5])
+    assert trace.policy_iterates[-1][0, 0, 1] > 0.5
+
+
+def test_mm_and_em_need_no_trajectory_enumeration(rng):
+    # full support from six start states: enumerating (S, A, T) = (6, 3, 5)
+    # takes 6 * 18^5 = 11,337,408 rows, past the oracle's 10^6 cap
+    problem = random_problem(rng, num_states=6, num_actions=3, horizon=5)
+    assert problem.initial_distribution.min() > 0
+    for target in ("soc", "rsoc"):
+        _, trace = mm_solve(problem, target, lambda_p=1.0, tol=0.0, max_iters=5)
+        assert trace.iterations == 5
+        assert np.all(np.diff(trace.true_objective) <= 1e-12)
+    _, trace = em_solve(problem, lam=1.0, tol=0.0, max_iters=5)
+    assert trace.iterations == 5
+    assert np.all(np.diff(trace.true_objective) <= 1e-12)
+
+
 def test_em_matches_synchronized_mm_on_random_instances(rng):
     for _ in range(10):
         lam = float(rng.uniform(0.3, 2.0))

@@ -226,6 +226,15 @@ def test_regularized_policy_value_matches_enumeration(rng):
         assert fast == pytest.approx(slow, abs=1e-9)
 
 
+def test_expected_cost_under_matches_enumeration(rng):
+    for _ in range(20):
+        problem = random_problem(rng, max_states=3, max_actions=3, max_horizon=3)
+        policy = perturb_policy(problem.baseline_policy, rng)
+        assert expected_cost_under(problem, policy) == pytest.approx(
+            evaluate_objective(problem, Formulation.SOC, policy), abs=1e-10
+        )
+
+
 def test_rsoc_value_matches_closed_form_enumeration(rng):
     for _ in range(20):
         problem = random_problem(rng, max_states=3, max_actions=3, max_horizon=3)
