@@ -5,6 +5,13 @@ reweighted policy, and compositional mixing of component solutions.
 Everything here requires a single positive weight used for both the policy
 and transition penalties; risk-averse weights are rejected.  Desirability
 tables are stored as logs so long horizons never underflow.
+
+Each stage of the recursion runs in probability space through
+``risk.log_expect_exp``: the transition step E_iota[z_{t+1}] is one BLAS
+matrix-vector product against z_{t+1} / max z_{t+1}, and the action step
+E_rho[exp(-lam c_t) E_iota[z_{t+1}]] shifts each state's row by its maximum
+over the support of rho.  Only rows whose shifted sum underflows (below
+``risk.UNDERFLOW_SUM``) are redone in the log domain.
 """
 
 from __future__ import annotations
@@ -13,16 +20,16 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import ControlProblem, Policy, ProblemValidationError, validate_problem
+from .risk import log_expect_exp, logsumexp
 
 
 def _require_positive_lambda(lam: float) -> float:
     lam = float(lam)
-    if not lam > 0:
+    if not 0 < lam < np.inf:
         raise ValueError(
-            "the linear/path-integral machinery requires a single weight lambda > 0"
+            "the linear/path-integral machinery requires a single finite weight lambda > 0"
         )
     return lam
 
@@ -52,22 +59,20 @@ def from_desirability(d: Desirability) -> np.ndarray:
     return d.values()
 
 
-def _log_tables(problem: ControlProblem):
-    with np.errstate(divide="ignore"):
-        log_rho = np.log(problem.baseline_policy.table)
-        log_iota = np.log(problem.baseline_kernels.table)
-    return log_rho, log_iota
+def _action_log_weights(problem: ControlProblem, lam: float, t: int, log_z_next: np.ndarray):
+    """log(exp(-lam c_t) E_iota[z_{t+1}]), shape (S, A)."""
+    inner = log_expect_exp(problem.baseline_kernels.table[t], log_z_next)
+    return inner - lam * problem.stage_costs[t]
 
 
 def _backward_log(problem: ControlProblem, lam: float, log_z_terminal: np.ndarray) -> np.ndarray:
     """Run the linear recursion from an arbitrary terminal log-desirability."""
     T, S = problem.horizon, problem.num_states
-    log_rho, log_iota = _log_tables(problem)
+    rho = problem.baseline_policy.table
     log_z = np.empty((T + 1, S))
     log_z[T] = log_z_terminal
     for t in reversed(range(T)):
-        inner = logsumexp(log_iota[t] + log_z[t + 1][None, None, :], axis=-1)  # (S, A)
-        log_z[t] = logsumexp(log_rho[t] - lam * problem.stage_costs[t] + inner, axis=-1)
+        log_z[t] = log_expect_exp(rho[t], _action_log_weights(problem, lam, t, log_z[t + 1]))
     return log_z
 
 
@@ -83,19 +88,21 @@ def linear_backward(problem: ControlProblem, lam: float) -> Desirability:
 
 def _policy_log(problem: ControlProblem, lam: float, log_z: np.ndarray, tol: float = 1e-8) -> Policy:
     """Reweighted baseline policy rho * r * E_iota[z'] / z, from log tables."""
-    T = problem.horizon
-    log_rho, log_iota = _log_tables(problem)
-    table = np.zeros_like(problem.baseline_policy.table)
-    for t in range(T):
-        inner = logsumexp(log_iota[t] + log_z[t + 1][None, None, :], axis=-1)
-        log_pi = log_rho[t] - lam * problem.stage_costs[t] + inner - log_z[t][:, None]
-        rows = np.exp(log_pi)
-        rows[problem.baseline_policy.table[t] == 0] = 0.0
+    rho = problem.baseline_policy.table
+    table = np.zeros_like(rho)
+    for t in range(problem.horizon):
+        g = _action_log_weights(problem, lam, t, log_z[t + 1]) - log_z[t][:, None]
+        # exp(log rho + g), not rho * exp(g): g can pass the overflow bound
+        # where rho is tiny.
+        with np.errstate(divide="ignore", over="ignore"):
+            rows = np.exp(np.log(rho[t]) + g)
+        rows[rho[t] == 0] = 0.0
         sums = rows.sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) > tol:
+        gap = np.max(np.abs(sums - 1.0))
+        if not gap <= tol:
             raise ValueError(
                 "desirability table is inconsistent with the problem: policy row "
-                f"sums deviate by {np.max(np.abs(sums - 1.0)):.3g}"
+                f"sums deviate by {gap:.3g}"
             )
         table[t] = rows / sums[:, None]
     return Policy(table)
@@ -118,8 +125,10 @@ class ComponentSet:
         g = np.atleast_1d(np.asarray(self.gammas, dtype=float))
         if tc.shape[0] != g.shape[0]:
             raise ValueError("one gamma per component terminal cost")
-        if (g <= 0).any():
-            raise ValueError("all gammas must be > 0")
+        if not (np.isfinite(g) & (g > 0)).all():
+            raise ValueError("all gammas must be finite and > 0")
+        if not np.isfinite(tc).all():
+            raise ValueError("component terminal costs must be finite")
         object.__setattr__(self, "terminal_costs", tc)
         object.__setattr__(self, "gammas", g)
 

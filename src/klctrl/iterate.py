@@ -141,9 +141,11 @@ def _e_step(problem: ControlProblem, policy: Policy, lam: float):
     Markov: initial law proportional to p(x0) z_0, policy the desirability
     policy, kernel proportional to iota z_{t+1}.  Returns the posterior policy,
     with rows the posterior never reaches (exactly those ``policy`` never
-    reaches) kept at ``policy``, and the expected complete-data
-    log-likelihood under it, up to the optimality normalizer, summed from the
-    posterior's forward marginals.
+    reaches) kept at ``policy``; the expected complete-data log-likelihood
+    under it, up to the optimality normalizer, summed from the posterior's
+    forward marginals; and p(x0) V_0, which is ``rsoc_value`` of ``policy``:
+    the nested risk over (policy, iota) with one weight is the same linear
+    recursion.
     """
     sub = problem.replace(baseline_policy=policy)
     d = linear_backward(sub, lam)
@@ -157,12 +159,12 @@ def _e_step(problem: ControlProblem, policy: Policy, lam: float):
         reach = m > 0
         table[t][reach] = conditional[t][reach]
         joint = m[:, None] * conditional[t]
-        flow = joint[:, :, None] * tilted_rows(iota[t], V[t + 1][None, None, :], lam)
+        flow = joint[:, :, None] * tilted_rows(iota[t], V[t + 1], lam)
         loglik += _weighted_log(joint, conditional[t]) + _weighted_log(flow, iota[t])
         loglik -= lam * float((joint * problem.stage_costs[t]).sum())
         m = flow.sum(axis=(0, 1))
     loglik -= lam * float(m @ problem.terminal_cost)
-    return Policy(table), loglik
+    return Policy(table), loglik, float(problem.initial_distribution @ V[0])
 
 
 def em_solve(
@@ -178,6 +180,9 @@ def em_solve(
     linear (desirability) pass with that policy as the baseline.  M-step:
     the posterior's conditional policy.  The recorded true
     objective is the exponential-utility value, which is non-increasing.
+    That pass also yields the true objective of the policy it starts from,
+    so each iterate's objective comes from the next E-step and only the
+    final iterate is evaluated on its own.
     Returns (Policy, trace); converged is False if max_iters ran out.
     """
     if not lam > 0:
@@ -185,11 +190,15 @@ def em_solve(
     pi_k = init_policy if init_policy is not None else problem.baseline_policy
     trace = IterationTrace()
     trace.policy_iterates.append(pi_k.table)
-    j_prev = rsoc_value(problem, pi_k, lam)
-    for _ in range(max_iters):
-        pi_next, surrogate = _e_step(problem, pi_k, lam)
-        j_next = rsoc_value(problem, pi_next, lam)
+    pi_next, surrogate, j_prev = _e_step(problem, pi_k, lam)
+    for k in range(max_iters):
         delta_pi = float(np.max(np.abs(pi_next.table - pi_k.table)))
+        if delta_pi <= tol or k == max_iters - 1:
+            j_next = rsoc_value(problem, pi_next, lam)
+            step = None
+        else:
+            step = _e_step(problem, pi_next, lam)
+            j_next = step[2]
         trace.surrogate_objective.append(surrogate)
         trace.true_objective.append(j_next)
         trace.policy_delta.append(delta_pi)
@@ -201,7 +210,8 @@ def em_solve(
                 f"objective increased from {j_prev!r} to {j_next!r}", trace
             )
         pi_k, j_prev = pi_next, j_next
-        if delta_pi <= tol:
-            trace.converged = True
+        if step is None:
+            trace.converged = delta_pi <= tol
             break
+        pi_next, surrogate, _ = step
     return pi_k, trace

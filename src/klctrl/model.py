@@ -37,11 +37,16 @@ def _as_array(x, shape, name):
 
 
 def _row_violations(name: str, table: np.ndarray, tol: float = ROW_TOL):
+    """Rows that are not distributions: a sum off 1, a negative or a non-finite
+    entry.  A NaN or infinite entry makes its row sum fail the test too."""
     out = []
     sums = table.sum(axis=-1)
-    for idx in np.argwhere(np.abs(sums - 1.0) > tol):
+    for idx in np.argwhere(~(np.abs(sums - 1.0) <= tol)):
         key = tuple(int(i) for i in idx)
-        out.append(f"{name}{key}: row sum {sums[key]:.12g} != 1")
+        if np.isfinite(table[key]).all():
+            out.append(f"{name}{key}: row sum {sums[key]:.12g} != 1")
+        else:
+            out.append(f"{name}{key}: non-finite entry")
     for idx in np.argwhere(table < 0):
         key = tuple(int(i) for i in idx)
         out.append(f"{name}{key}: negative entry {table[key]:.12g}")
@@ -197,7 +202,9 @@ def validate_problem(problem: ControlProblem) -> list:
     """
     out = []
     p0 = problem.initial_distribution
-    if abs(p0.sum() - 1.0) > ROW_TOL:
+    if not np.isfinite(p0).all():
+        out.append("initial_distribution: non-finite entry")
+    elif not abs(p0.sum() - 1.0) <= ROW_TOL:
         out.append(f"initial_distribution: row sum {p0.sum():.12g} != 1")
     for idx in np.argwhere(p0 < 0):
         out.append(f"initial_distribution({int(idx[0])},): negative entry")
@@ -210,10 +217,12 @@ def validate_problem(problem: ControlProblem) -> list:
         for idx in np.argwhere(~np.isfinite(table)):
             key = tuple(int(i) for i in idx)
             out.append(f"{name}{key}: non-finite entry")
-    if problem.lambda_p is not None and not problem.lambda_p > 0:
-        out.append(f"lambda_p: must be > 0, got {problem.lambda_p:.12g}")
-    if problem.lambda_s is not None and problem.lambda_s == 0:
-        out.append("lambda_s: must be nonzero")
+    if problem.lambda_p is not None and not 0 < problem.lambda_p < np.inf:
+        out.append(f"lambda_p: must be finite and > 0, got {problem.lambda_p:.12g}")
+    if problem.lambda_s is not None and not (
+        np.isfinite(problem.lambda_s) and problem.lambda_s != 0
+    ):
+        out.append(f"lambda_s: must be finite and nonzero, got {problem.lambda_s:.12g}")
     return out
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     ControlProblem,
@@ -19,7 +18,7 @@ from .model import (
     Trajectory,
     TransitionKernel,
 )
-from .risk import _coerce_lambda
+from .risk import _coerce_lambda, logsumexp
 
 DEFAULT_TRAJECTORY_CAP = 10**6
 DEFAULT_POLICY_CAP = 10**6
@@ -71,13 +70,16 @@ def enumerate_trajectories(
     costs = np.zeros(len(start))
     for t in range(T):
         cur = states[:, -1]
-        step = policy.table[t][cur][:, :, None] * kernel.table[t][cur]  # (N, A, S)
-        flat = step.reshape(len(cur), A * S)
-        row, col = np.nonzero(flat)
-        if len(row) > cap:
+        step = (policy.table[t][:, :, None] * kernel.table[t]).reshape(S, A * S)
+        # Count the stage's rows from each state's support before building
+        # them, so a refused stage allocates nothing of its size.
+        needed = int(np.bincount(cur, minlength=S) @ np.count_nonzero(step, axis=-1))
+        if needed > cap:
             raise EnumerationCapError(
-                f"trajectory enumeration needs {len(row)} rows at stage {t}, cap is {cap}"
+                f"trajectory enumeration needs {needed} rows at stage {t}, cap is {cap}"
             )
+        flat = step[cur]  # (N, A*S)
+        row, col = np.nonzero(flat)
         u, y = col // S, col % S
         probs = probs[row] * flat[row, col]
         costs = costs[row] + problem.stage_costs[t][cur[row], u]
@@ -108,7 +110,7 @@ def exact_risk_objective(table: TrajectoryTable, lam) -> float:
     lam = _coerce_lambda(lam)
     if len(table) == 0:
         raise ValueError("empty trajectory table")
-    return float(-logsumexp(-lam * table.costs, b=table.probs) / lam)
+    return float(-logsumexp(np.log(table.probs) - lam * table.costs) / lam)
 
 
 def expected_cost(table: TrajectoryTable) -> float:

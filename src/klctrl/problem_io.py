@@ -3,7 +3,8 @@
 A problem file is a JSON document with the model tables, optional KL weights
 and optional compositional components.  Per-stage tables may be given once
 with ``"time_homogeneous": true`` and are expanded to the horizon length.
-Unknown keys are rejected so typos never pass silently.
+Unknown keys are rejected so typos never pass silently, and so are the
+non-standard ``NaN``/``Infinity`` literals that Python's json module accepts.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ OPTIONAL_KEYS = {
 
 class ProblemFormatError(ValueError):
     """The document does not conform to the problem-file schema."""
+
+
+def _reject_constant(name):
+    raise ProblemFormatError(f"non-finite literal {name} is not allowed")
 
 
 def _expand(name, value, homogeneous_shape, full_shape, time_homogeneous):
@@ -131,7 +136,7 @@ def parse_problem(doc: dict) -> Tuple[ControlProblem, Optional[ComponentSet]]:
 def load_problem(path) -> Tuple[ControlProblem, Optional[ComponentSet]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"invalid JSON: {exc}") from exc
     return parse_problem(doc)

@@ -1,8 +1,19 @@
 """Entropic risk operator, its tilted-distribution dual and certificates.
 
-Everything is computed in the log domain with a max-shift so that the
-exponentials never overflow, and entries with zero base probability are
-ignored regardless of the function value there.
+The row operators behind every backward pass, ``entropic_risk_rows`` and
+``tilted_rows``, run in probability space through ``log_expect_exp``:
+
+- When the rows share one value vector (a kernel table against V_{t+1}), the
+  vector is shifted by its maximum and the sum is one BLAS matrix-vector
+  product, ``mu @ exp(g - max g)``.
+- When each row has its own values (the (S, A) action step), each row is
+  shifted by its maximum over the support of ``mu``.
+
+Either shift keeps every exponential at most 1, so nothing overflows.  A row
+whose shifted sum falls below ``UNDERFLOW_SUM`` may have lost terms to
+underflow, and only those rows are redone in the log domain with
+``logsumexp``.  Entries with zero base probability are ignored regardless of
+the function value there, and stay exact zeros in tilted rows.
 """
 
 from __future__ import annotations
@@ -10,11 +21,70 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import kl_rows
 
 MIN_ABS_LAMBDA = 1e-12
+# A shifted sum at or above this bound loses nothing that matters to flushed
+# or subnormal terms, each below ~1e-308: their share is under 1e-58.
+UNDERFLOW_SUM = 1e-250
+
+
+def logsumexp(a, axis=-1, keepdims: bool = False):
+    """log(sum(exp(a))) along ``axis``, shifted by the maximum.
+
+    Rows that are all -inf give -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def _shifted(mu: np.ndarray, g: np.ndarray):
+    """(e, s, shift) with e = exp(g - shift) <= 1 on the support of ``mu`` and
+    s = sum_y mu e along the last axis.
+
+    A 1-D ``g`` under a table ``mu`` is shared by every row: one global shift
+    and one matrix-vector product.  Otherwise ``g`` has the shape of ``mu``
+    and each row is shifted by its maximum over the support of ``mu``.
+    """
+    if g.ndim == 1 and mu.ndim > 1:
+        shift = g.max()
+        e = np.exp(g - shift)
+        s = mu.reshape(-1, mu.shape[-1]) @ e
+        return e, s.reshape(mu.shape[:-1]), shift
+    g = np.where(mu > 0, g, -np.inf)
+    shift = g.max(axis=-1, keepdims=True)
+    e = np.exp(g - shift)
+    return e, (mu * e).sum(axis=-1), shift[..., 0]
+
+
+def _log_terms(mu: np.ndarray, g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """log mu + g on the selected rows of ``mu``, for the log-domain redo."""
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu[rows])
+    return log_mu + (g if g.ndim == 1 and mu.ndim > 1 else g[rows])
+
+
+def log_expect_exp(mu, g) -> np.ndarray:
+    """log sum_y mu(y | row) exp(g(y)) for every row of ``mu``, in probability space.
+
+    ``g`` is one vector shared by all rows, or one row of values per row of
+    ``mu``.  Rows whose shifted sum is below ``UNDERFLOW_SUM`` are redone in
+    the log domain.
+    """
+    mu = np.asarray(mu, dtype=float)
+    g = np.asarray(g, dtype=float)
+    _, s, shift = _shifted(mu, g)
+    with np.errstate(divide="ignore"):
+        out = np.asarray(np.log(s) + shift)
+    low = s < UNDERFLOW_SUM
+    if low.any():
+        out[low] = logsumexp(_log_terms(mu, g, low))
+    return out
 
 
 @dataclass(frozen=True)
@@ -24,6 +94,8 @@ class RiskParam:
     lam: float
 
     def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam!r}")
         if abs(self.lam) < MIN_ABS_LAMBDA:
             raise ValueError(
                 f"|lambda| must be >= {MIN_ABS_LAMBDA}; use a plain expectation "
@@ -60,7 +132,7 @@ def entropic_risk(mu, f, lam) -> float:
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     support = _check_inputs(mu, f)
-    lse = logsumexp(-lam * f[support], b=mu[support])
+    lse = logsumexp(np.log(mu[support]) - lam * f[support])
     return float(-lse / lam)
 
 
@@ -92,18 +164,25 @@ def dual_certificate(mu, f, lam, candidate) -> float:
     return float(candidate @ f + kl_rows(candidate, mu, "candidate").sum() / lam)
 
 
-def entropic_risk_rows(mu: np.ndarray, f: np.ndarray, lam: float, axis: int = -1):
-    """Vectorized entropic risk along one axis; zero-mass entries are ignored."""
-    with np.errstate(divide="ignore"):
-        log_mu = np.log(mu)
-    return -logsumexp(log_mu - lam * f, axis=axis) / lam
+def entropic_risk_rows(mu: np.ndarray, f: np.ndarray, lam: float) -> np.ndarray:
+    """Entropic risk of ``f`` under each row of ``mu`` (last axis).
+
+    ``f`` is one vector shared by every row or one row per row of ``mu``;
+    zero-mass entries are ignored.
+    """
+    return -log_expect_exp(mu, -lam * np.asarray(f, dtype=float)) / lam
 
 
-def tilted_rows(mu: np.ndarray, f: np.ndarray, lam: float, axis: int = -1):
-    """Vectorized exponential tilting along one axis, preserving exact zeros."""
-    with np.errstate(divide="ignore"):
-        w = np.log(mu) - lam * f
-    w = w - logsumexp(w, axis=axis, keepdims=True)
-    out = np.exp(w)
-    out[np.broadcast_to(mu, out.shape) == 0] = 0.0
+def tilted_rows(mu: np.ndarray, f: np.ndarray, lam: float) -> np.ndarray:
+    """Each row of ``mu`` tilted by exp(-lam f) and normalized; exact zeros stay."""
+    mu = np.asarray(mu, dtype=float)
+    g = -lam * np.asarray(f, dtype=float)
+    e, s, _ = _shifted(mu, g)
+    out = mu * e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= s[..., None]
+    low = s < UNDERFLOW_SUM
+    if low.any():
+        w = _log_terms(mu, g, low)
+        out[low] = np.exp(w - logsumexp(w, keepdims=True))
     return out

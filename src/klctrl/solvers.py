@@ -131,13 +131,11 @@ def _backward(
             Q[t] = problem.stage_costs[t] + _expected_next(problem, t, V[t + 1])
             tau[t] = iota[t]
         else:
-            Q[t] = problem.stage_costs[t] + entropic_risk_rows(
-                iota[t], V[t + 1][None, None, :], weight_s
-            )
+            Q[t] = problem.stage_costs[t] + entropic_risk_rows(iota[t], V[t + 1], weight_s)
             # The stage cost is constant along x', so tilting by c + V equals
             # tilting by V alone.
             tau[t] = (
-                tilted_rows(iota[t], V[t + 1][None, None, :], weight_s)
+                tilted_rows(iota[t], V[t + 1], weight_s)
                 if tilt_kernel
                 else iota[t]
             )
@@ -230,9 +228,7 @@ def _evaluate(
     W = problem.terminal_cost
     for t in reversed(range(problem.horizon)):
         if risk_s:
-            q = problem.stage_costs[t] + entropic_risk_rows(
-                iota[t], W[None, None, :], weight_s
-            )
+            q = problem.stage_costs[t] + entropic_risk_rows(iota[t], W, weight_s)
         else:
             q = problem.stage_costs[t] + tau[t] @ W
             if kl_tau is not None:

@@ -211,9 +211,7 @@ def _central_bellman_residual(problem: ControlProblem, sol) -> float:
     worst = 0.0
     for t in range(problem.horizon):
         q = problem.stage_costs[t] + entropic_risk_rows(
-            problem.baseline_kernels.table[t],
-            sol.V[t + 1][None, None, :],
-            problem.lambda_s,
+            problem.baseline_kernels.table[t], sol.V[t + 1], problem.lambda_s
         )
         v = entropic_risk_rows(
             problem.baseline_policy.table[t], q, problem.lambda_p

@@ -72,3 +72,29 @@ def m1():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def sparse_problem(rng, num_states, num_actions, horizon, lambda_s, cost_scale=2.0):
+    """Random instance whose kernel and policy rows have exact zeros.
+
+    Each kernel row keeps about a third of the states and each policy row
+    about half of the actions, always at least one.
+    """
+    S, A, T = num_states, num_actions, horizon
+    kernels = rng.random((T, S, A, S)) * (rng.random((T, S, A, S)) < 0.3)
+    t_idx, x_idx, a_idx = np.indices((T, S, A))
+    kernels[t_idx, x_idx, a_idx, rng.integers(0, S, size=(T, S, A))] += 0.1
+    rho = rng.random((T, S, A)) * (rng.random((T, S, A)) < 0.5)
+    rho[t_idx[..., 0], x_idx[..., 0], rng.integers(0, A, size=(T, S))] += 0.1
+    return ControlProblem(
+        horizon=T,
+        num_states=S,
+        num_actions=A,
+        initial_distribution=rng.dirichlet(np.ones(S)),
+        baseline_kernels=TransitionKernel(kernels / kernels.sum(-1, keepdims=True)),
+        baseline_policy=Policy(rho / rho.sum(-1, keepdims=True)),
+        stage_costs=rng.uniform(0.0, cost_scale, size=(T, S, A)),
+        terminal_cost=rng.uniform(0.0, cost_scale, size=S),
+        lambda_p=1.0,
+        lambda_s=lambda_s,
+    )

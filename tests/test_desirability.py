@@ -12,7 +12,7 @@ from klctrl import (
     to_desirability,
 )
 
-from conftest import make_m1, random_problem
+from conftest import make_m1, random_problem, sparse_problem
 
 M1_Z0 = 0.5 * (1 + np.exp(-1))
 
@@ -235,3 +235,26 @@ def test_component_set_validation():
         ComponentSet(np.zeros((2, 3)), [1.0])
     with pytest.raises(ValueError):
         ComponentSet(np.zeros((2, 3)), [1.0, -1.0])
+
+
+def test_linear_backward_with_large_costs_matches_the_log_domain(rng):
+    # costs near 1e3 with lam = 1: every z = exp(-lam V) underflows to 0, so
+    # only a shifted or log-domain recursion keeps log z finite
+    lam = 1.0
+    problem = sparse_problem(rng, 15, 4, 6, lambda_s=lam)
+    costs = rng.uniform(900.0, 1100.0, size=problem.stage_costs.shape)
+    problem = problem.replace(
+        stage_costs=costs, terminal_cost=rng.uniform(900.0, 1100.0, size=15)
+    )
+    assert np.exp(-lam * problem.terminal_cost).max() == 0.0
+    log_z = linear_backward(problem, lam).log_z
+    with np.errstate(divide="ignore"):
+        log_iota = np.log(problem.baseline_kernels.table)
+        log_rho = np.log(problem.baseline_policy.table)
+    ref = -lam * problem.terminal_cost
+    np.testing.assert_allclose(log_z[-1], ref, rtol=1e-12, atol=0)
+    for t in reversed(range(problem.horizon)):
+        inner = np.logaddexp.reduce(log_iota[t] + ref, axis=-1)
+        ref = np.logaddexp.reduce(log_rho[t] - lam * costs[t] + inner, axis=-1)
+        assert np.isfinite(log_z[t]).all()
+        np.testing.assert_allclose(log_z[t], ref, rtol=1e-12, atol=0)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import klctrl
 import numpy as np
 import pytest
 
@@ -69,6 +74,31 @@ def test_bad_row_sums_are_caught_by_validation():
     problem, _ = parse_problem(doc)
     violations = validate_problem(problem)
     assert any("initial_distribution" in v for v in violations)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literals_are_refused(tmp_path, capsys, literal):
+    text = json.dumps(minimal_doc() | {"lambda_p": 1.0, "lambda_s": 1.0})
+    path = tmp_path / "p.json"
+    path.write_text(text.replace('"lambda_s": 1.0', f'"lambda_s": {literal}'))
+    with pytest.raises(ProblemFormatError, match=f"non-finite literal {literal}"):
+        load_problem(path)
+    out = tmp_path / "sol.json"
+    args = ["solve", "--problem", str(path), "--formulation", "central", "--out", str(out)]
+    assert main(args) == 1
+    assert not out.exists()
+
+
+def test_import_needs_numpy_alone():
+    src = str(Path(klctrl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, klctrl, klctrl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_components_round_trip(tmp_path, rng):

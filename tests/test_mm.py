@@ -12,7 +12,7 @@ from klctrl import (
     regularized_policy_value,
     solve_formulation,
 )
-from klctrl.solvers import expected_cost_under
+from klctrl.solvers import expected_cost_under, rsoc_value
 from klctrl.verify import perturb_policy
 
 from conftest import random_problem
@@ -184,3 +184,21 @@ def test_em_objective_is_non_increasing(rng):
         problem = random_problem(rng, lambda_s=lam)
         _, trace = em_solve(problem, lam=lam, tol=1e-10, max_iters=50)
         assert np.all(np.diff(trace.true_objective) <= 1e-12)
+
+
+def test_em_takes_each_objective_from_the_next_e_step(rng, monkeypatch):
+    from klctrl import iterate
+
+    calls = []
+    monkeypatch.setattr(
+        iterate, "rsoc_value", lambda *args: calls.append(args) or rsoc_value(*args)
+    )
+    for max_iters in (1, 6):
+        lam = float(rng.uniform(0.3, 2.0))
+        problem = random_problem(rng, lambda_s=lam)
+        calls.clear()
+        _, trace = em_solve(problem, lam=lam, tol=0.0, max_iters=max_iters)
+        # only the final iterate is evaluated apart from the E-steps
+        assert len(calls) == 1
+        values = [rsoc_value(problem, Policy(pi), lam) for pi in trace.policy_iterates]
+        np.testing.assert_allclose(trace.true_objective, values[1:], rtol=0, atol=1e-12)

@@ -13,7 +13,8 @@ from klctrl import (
     trajectory_log_prob,
     validate_problem,
 )
-from klctrl.model import cost_warnings
+from klctrl.model import ProblemValidationError, cost_warnings
+from klctrl.solvers import solve_central
 
 from conftest import make_m1, random_problem
 
@@ -36,6 +37,48 @@ def test_lambda_s_zero_is_a_violation():
     violations = validate_problem(problem)
     assert len(violations) == 1
     assert "lambda_s" in violations[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_policy_row_is_refused(bad):
+    table = make_m1().baseline_policy.table.copy()
+    table[0, 1] = [bad, 0.5]
+    with pytest.raises(ProblemValidationError, match=r"pi\(0, 1\): non-finite entry"):
+        Policy(table)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_kernel_row_is_refused(bad):
+    table = make_m1().baseline_kernels.table.copy()
+    table[0, 0, 1] = [bad, 1.0]
+    with pytest.raises(ProblemValidationError, match=r"tau\(0, 0, 1\): non-finite entry"):
+        TransitionKernel(table)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_distribution_is_a_violation(bad):
+    problem = make_m1().replace(initial_distribution=[bad, 0.0])
+    assert validate_problem(problem) == ["initial_distribution: non-finite entry"]
+    with pytest.raises(ProblemValidationError):
+        solve_central(problem)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_lambda_p_is_a_violation(bad):
+    problem = make_m1(lambda_p=bad)
+    violations = validate_problem(problem)
+    assert len(violations) == 1 and violations[0].startswith("lambda_p")
+    with pytest.raises(ProblemValidationError):
+        solve_central(problem)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_lambda_s_is_a_violation(bad):
+    problem = make_m1(lambda_s=bad)
+    violations = validate_problem(problem)
+    assert len(violations) == 1 and violations[0].startswith("lambda_s")
+    with pytest.raises(ProblemValidationError):
+        solve_central(problem)
 
 
 def test_negative_costs_warn_but_do_not_invalidate():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,23 @@ def test_enumeration_cap_raises(rng):
         enumerate_trajectories(
             problem, problem.baseline_policy, problem.baseline_kernels, cap=100
         )
+
+
+def test_over_cap_stage_is_refused_before_it_is_built(rng):
+    # full support on (6, 6, 6): stage 3 needs 6^3 * 36^3 = 10,077,696 rows;
+    # building that stage's step table and indices would take ~300 MB
+    problem = random_problem(rng, num_states=6, num_actions=6, horizon=6)
+    assert problem.initial_distribution.min() > 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError, match="10077696 rows at stage 3"):
+            enumerate_trajectories(
+                problem, problem.baseline_policy, problem.baseline_kernels
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_policy_sweep_cap_raises(rng):

@@ -8,6 +8,15 @@ from klctrl import (
     entropic_risk,
     tilted_distribution,
 )
+from klctrl.risk import UNDERFLOW_SUM, entropic_risk_rows, tilted_rows
+
+
+def _log_domain_rows(mu, g):
+    """Reference: log sum mu exp(g) and the tilted rows, by pairwise log-add."""
+    with np.errstate(divide="ignore"):
+        w = np.log(mu) + g
+    lse = np.logaddexp.reduce(w, axis=-1)
+    return lse, np.exp(w - lse[..., None])
 
 
 def test_risk_of_a_constant_is_the_constant():
@@ -144,3 +153,38 @@ def test_small_lambda_approaches_the_expectation(rng):
         spread = float(f.max() - f.min())
         for lam in (1e-6, -1e-6):
             assert abs(entropic_risk(mu, f, lam) - mu @ f) <= 1e-4 * spread**2
+
+
+@pytest.mark.parametrize("lam", [700.0, 1000.0, -700.0, -1000.0])
+def test_rows_whose_shifted_sum_underflows_match_the_log_domain(rng, lam):
+    S, A = 12, 3
+    # g = -lam f peaks at state 0 and sits at least |lam| lower elsewhere, so
+    # a row without state 0 in its support sums to at most exp(-700).
+    f = np.sign(lam) * rng.uniform(1.0, 1.5, size=S)
+    f[0] = 0.0
+    mu = rng.random((S, A, S)) * (rng.random((S, A, S)) < 0.4)
+    mu[..., 1] += 0.1
+    mu[: S // 2, :, 0] = 0.0
+    mu[S // 2 :, :, 0] += 0.1
+    mu /= mu.sum(axis=-1, keepdims=True)
+    g = -lam * f
+    shifted = mu @ np.exp(g - g.max())
+    assert (shifted < UNDERFLOW_SUM).any() and (shifted >= UNDERFLOW_SUM).any()
+    lse, tilt = _log_domain_rows(mu, g)
+    np.testing.assert_allclose(entropic_risk_rows(mu, f, lam), -lse / lam, rtol=0, atol=1e-12)
+    out = tilted_rows(mu, f, lam)
+    np.testing.assert_allclose(out, tilt, rtol=0, atol=1e-12)
+    assert np.all(out[mu == 0] == 0.0)
+
+    # one value row per row (the action step): the maximizing entry carries
+    # only 1e-300 of the mass, so the per-row shifted sum is tiny as well.
+    rows = np.tile(f[1:A + 1], (S, 1))
+    rows[:, 0] = 0.0
+    weights = rng.dirichlet(np.ones(A), size=S)
+    weights[: S // 2, 0] = 1e-300
+    weights /= weights.sum(axis=-1, keepdims=True)
+    lse, tilt = _log_domain_rows(weights, -lam * rows)
+    np.testing.assert_allclose(
+        entropic_risk_rows(weights, rows, lam), -lse / lam, rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(tilted_rows(weights, rows, lam), tilt, rtol=0, atol=1e-12)

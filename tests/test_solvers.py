@@ -8,6 +8,8 @@ from klctrl import (
     TransitionKernel,
     evaluate_objective,
     initial_value,
+    linear_backward,
+    policy_from_desirability,
     solve_central,
     solve_formulation,
 )
@@ -15,7 +17,7 @@ from klctrl.risk import entropic_risk_rows
 from klctrl.solvers import expected_cost_under, regularized_policy_value, rsoc_value
 from klctrl.verify import central_no_improvement, perturb_kernel, perturb_policy
 
-from conftest import make_m1, random_problem
+from conftest import make_m1, random_problem, sparse_problem
 
 M1_V0 = -np.log(0.5 * (1 + np.exp(-1)))
 M1_PI1 = 1 / (1 + np.exp(-1))
@@ -242,3 +244,23 @@ def test_rsoc_value_matches_closed_form_enumeration(rng):
         assert rsoc_value(problem, policy, problem.lambda_s) == pytest.approx(
             evaluate_objective(problem, Formulation.RSOC, policy), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("lam_s", [0.5, -0.7, 40.0, -40.0, 700.0, -700.0])
+def test_exact_zeros_of_the_baseline_stay_exact_zeros(rng, lam_s):
+    problem = sparse_problem(rng, 12, 4, 5, lambda_s=lam_s)
+    iota = problem.baseline_kernels.table
+    rho = problem.baseline_policy.table
+    for form, kw in (
+        (Formulation.CENTRAL, {}),
+        (Formulation.RSOC, {}),
+        (Formulation.SP_RSOC, {"synchronized": True}),
+        (Formulation.SP_SOC, {}),
+    ):
+        sol = solve_formulation(problem, form, **kw)
+        assert np.all(sol.tau_star.table[iota == 0] == 0.0), form
+        if form is not Formulation.RSOC:
+            assert np.all(sol.pi_star.table[rho == 0] == 0.0), form
+    if lam_s > 0:
+        pi = policy_from_desirability(problem, linear_backward(problem, lam_s))
+        assert np.all(pi.table[rho == 0] == 0.0)
