@@ -34,6 +34,12 @@ def _require_positive_lambda(lam: float) -> float:
     return lam
 
 
+def _require_valid(problem: ControlProblem):
+    violations = validate_problem(problem)
+    if violations:
+        raise ProblemValidationError(violations)
+
+
 @dataclass(frozen=True)
 class Desirability:
     """Exponentiated value table z_t(x) = exp(-lam V_t(x)), stored as log z."""
@@ -79,9 +85,7 @@ def _backward_log(problem: ControlProblem, lam: float, log_z_terminal: np.ndarra
 def linear_backward(problem: ControlProblem, lam: float) -> Desirability:
     """z_T = exp(-lam c_T); z_t = E_rho[exp(-lam c_t) E_iota[z_{t+1}]]."""
     lam = _require_positive_lambda(lam)
-    violations = validate_problem(problem)
-    if violations:
-        raise ProblemValidationError(violations)
+    _require_valid(problem)
     log_z = _backward_log(problem, lam, -lam * problem.terminal_cost)
     return Desirability(log_z, lam)
 
@@ -155,6 +159,7 @@ def compose(problem: ControlProblem, components: ComponentSet, lam: float) -> Co
     policy combines component policies with statewise weights z^(n)/z.
     """
     lam = _require_positive_lambda(lam)
+    _require_valid(problem)
     if components.terminal_costs.shape[1] != problem.num_states:
         raise ValueError("component terminal costs must have one entry per state")
     log_z_parts = np.stack(
@@ -199,6 +204,7 @@ def path_integral_estimate(
     Returns (estimate, standard error of the mean).
     """
     lam = _require_positive_lambda(lam)
+    _require_valid(problem)
     T = problem.horizon
     if not 0 <= t <= T:
         raise ValueError("stage out of range")

@@ -11,6 +11,7 @@ the E-step from one linear (desirability) pass.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -21,7 +22,6 @@ from .model import ControlProblem, Policy
 from .risk import tilted_rows
 from .solvers import (
     Formulation,
-    Solution,
     expected_cost_under,
     initial_value,
     rsoc_value,
@@ -62,6 +62,13 @@ def _floor_support(table: np.ndarray) -> np.ndarray:
     return out / sums
 
 
+def _require_stopping_rule(tol: float, max_iters: int):
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+
+
 def mm_solve(
     problem: ControlProblem,
     target: str,
@@ -80,10 +87,7 @@ def mm_solve(
         raise ValueError(f"unknown target {target!r}")
     if not lambda_p > 0:
         raise ValueError("lambda_p must be > 0")
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    _require_stopping_rule(tol, max_iters)
     form = Formulation.SP_SOC if target == "soc" else Formulation.SP_RSOC
 
     def true_objective(policy: Policy) -> float:
@@ -121,10 +125,7 @@ def mm_solve(
         if delta_pi <= tol:
             trace.converged = True
             break
-    solution = Solution(
-        solution.formulation, solution.V, solution.Q, pi_k, solution.tau_star
-    )
-    return solution, trace
+    return dataclasses.replace(solution, pi_star=pi_k), trace
 
 
 def _weighted_log(weights: np.ndarray, probs: np.ndarray) -> float:
@@ -187,6 +188,7 @@ def em_solve(
     """
     if not lam > 0:
         raise ValueError("the likelihood reading requires lambda > 0")
+    _require_stopping_rule(tol, max_iters)
     pi_k = init_policy if init_policy is not None else problem.baseline_policy
     trace = IterationTrace()
     trace.policy_iterates.append(pi_k.table)

@@ -7,6 +7,7 @@ cumulative costs and stagewise KL decompositions.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,18 +40,32 @@ def _as_array(x, shape, name):
 def _row_violations(name: str, table: np.ndarray, tol: float = ROW_TOL):
     """Rows that are not distributions: a sum off 1, a negative or a non-finite
     entry.  A NaN or infinite entry makes its row sum fail the test too."""
-    out = []
     sums = table.sum(axis=-1)
-    for idx in np.argwhere(~(np.abs(sums - 1.0) <= tol)):
+    out, negative = [], []
+    for idx in np.argwhere(~(np.abs(sums - 1.0) <= tol) | (table < 0).any(axis=-1)):
         key = tuple(int(i) for i in idx)
-        if np.isfinite(table[key]).all():
-            out.append(f"{name}{key}: row sum {sums[key]:.12g} != 1")
-        else:
+        row = table[key]
+        if not np.isfinite(row).all():
             out.append(f"{name}{key}: non-finite entry")
-    for idx in np.argwhere(table < 0):
-        key = tuple(int(i) for i in idx)
-        out.append(f"{name}{key}: negative entry {table[key]:.12g}")
-    return out
+        elif not abs(sums[key] - 1.0) <= tol:
+            out.append(f"{name}{key}: row sum {sums[key]:.12g} != 1")
+        for u in np.flatnonzero(row < 0):
+            negative.append(f"{name}{key + (int(u),)}: negative entry {row[u]:.12g}")
+    return out + negative
+
+
+def _frozen_rows(table, ndim: int, name: str, shape_error: str) -> np.ndarray:
+    """Read-only float copy of a table of ``ndim`` axes whose rows (last axis)
+    are distributions; refuses any other with its violations under ``name``."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim != ndim:
+        raise ValueError(shape_error)
+    bad = _row_violations(name, table)
+    if bad:
+        raise ProblemValidationError(bad)
+    table = table.copy()
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -60,14 +75,9 @@ class Policy:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 3:
-            raise ValueError("policy table must have shape (T, S, A)")
-        bad = _row_violations("pi", table)
-        if bad:
-            raise ProblemValidationError(bad)
-        table = table.copy()
-        table.flags.writeable = False
+        table = _frozen_rows(
+            self.table, 3, "pi", "policy table must have shape (T, S, A)"
+        )
         object.__setattr__(self, "table", table)
 
     @property
@@ -95,14 +105,9 @@ class TransitionKernel:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 4:
-            raise ValueError("kernel table must have shape (T, S, A, S)")
-        bad = _row_violations("tau", table)
-        if bad:
-            raise ProblemValidationError(bad)
-        table = table.copy()
-        table.flags.writeable = False
+        table = _frozen_rows(
+            self.table, 4, "tau", "kernel table must have shape (T, S, A, S)"
+        )
         object.__setattr__(self, "table", table)
 
     def is_deterministic(self, tol: float = ROW_TOL) -> bool:
@@ -175,20 +180,7 @@ class ControlProblem:
         )
 
     def replace(self, **kwargs) -> "ControlProblem":
-        fields = dict(
-            horizon=self.horizon,
-            num_states=self.num_states,
-            num_actions=self.num_actions,
-            initial_distribution=self.initial_distribution,
-            baseline_kernels=self.baseline_kernels,
-            baseline_policy=self.baseline_policy,
-            stage_costs=self.stage_costs,
-            terminal_cost=self.terminal_cost,
-            lambda_p=self.lambda_p,
-            lambda_s=self.lambda_s,
-        )
-        fields.update(kwargs)
-        return ControlProblem(**fields)
+        return dataclasses.replace(self, **kwargs)
 
     def has_deterministic_kernels(self) -> bool:
         return self.baseline_kernels.is_deterministic()
@@ -199,6 +191,9 @@ def validate_problem(problem: ControlProblem) -> list:
 
     Negative costs are reported as warnings elsewhere, not here: the solvers
     are well defined for any finite costs.  Non-finite entries are errors.
+    The baseline policy and kernels are not checked again here: a
+    ControlProblem holds them as Policy/TransitionKernel, which refuse bad
+    rows when built and keep read-only copies.
     """
     out = []
     p0 = problem.initial_distribution
@@ -208,8 +203,6 @@ def validate_problem(problem: ControlProblem) -> list:
         out.append(f"initial_distribution: row sum {p0.sum():.12g} != 1")
     for idx in np.argwhere(p0 < 0):
         out.append(f"initial_distribution({int(idx[0])},): negative entry")
-    out.extend(_row_violations("baseline_policy", problem.baseline_policy.table))
-    out.extend(_row_violations("baseline_kernels", problem.baseline_kernels.table))
     for name, table in (
         ("stage_costs", problem.stage_costs),
         ("terminal_cost", problem.terminal_cost),

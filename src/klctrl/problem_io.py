@@ -107,29 +107,31 @@ def parse_problem(doc: dict) -> Tuple[ControlProblem, Optional[ComponentSet]]:
             lambda_p=None if doc.get("lambda_p") is None else float(doc["lambda_p"]),
             lambda_s=None if doc.get("lambda_s") is None else float(doc["lambda_s"]),
         )
+        components = None
+        if "components" in doc:
+            entries = doc["components"]
+            if not isinstance(entries, list) or not entries:
+                raise ProblemFormatError("components must be a nonempty list")
+            costs, gammas = [], []
+            for i, entry in enumerate(entries):
+                if not isinstance(entry, dict) or set(entry) != {"terminal_cost", "gamma"}:
+                    raise ProblemFormatError(
+                        f"components[{i}] must be an object with exactly terminal_cost and gamma"
+                    )
+                tc = np.asarray(entry["terminal_cost"], dtype=float)
+                if tc.shape != (S,):
+                    raise ProblemFormatError(
+                        f"components[{i}].terminal_cost must have one entry per state"
+                    )
+                costs.append(tc)
+                gammas.append(float(entry["gamma"]))
+            components = ComponentSet(np.stack(costs), np.asarray(gammas))
     except ProblemFormatError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong JSON type (a list for a number, an object for
+        # a table) surfaces as TypeError from float() or np.asarray
         raise ProblemFormatError(str(exc)) from exc
-    components = None
-    if "components" in doc:
-        entries = doc["components"]
-        if not isinstance(entries, list) or not entries:
-            raise ProblemFormatError("components must be a nonempty list")
-        costs, gammas = [], []
-        for i, entry in enumerate(entries):
-            if set(entry) != {"terminal_cost", "gamma"}:
-                raise ProblemFormatError(
-                    f"components[{i}] must have exactly terminal_cost and gamma"
-                )
-            tc = np.asarray(entry["terminal_cost"], dtype=float)
-            if tc.shape != (S,):
-                raise ProblemFormatError(
-                    f"components[{i}].terminal_cost must have one entry per state"
-                )
-            costs.append(tc)
-            gammas.append(float(entry["gamma"]))
-        components = ComponentSet(np.stack(costs), np.asarray(gammas))
     return problem, components
 
 

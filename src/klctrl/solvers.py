@@ -1,10 +1,14 @@
 """Exact backward dynamic programming for the KL-regularized control family.
 
-``solve_central`` implements the two-weight recursion (risk over transitions
-with weight lambda_s, risk over actions with weight lambda_p); the classical
-and soft formulations are dispatched from it or from their own specialized
-recursions.  ``_evaluate`` is the matching backward evaluator for fixed
-decision variables, behind ``expected_cost_under``, ``rsoc_value``,
+``_backward`` is the one backward optimizer: the two-weight recursion (risk
+over transitions with weight lambda_s, risk over actions with weight
+lambda_p).  Every formulation is that recursion with some sides pinned, and
+a pinned side is one without a weight: its step is the plain expectation over
+the baseline kernels (tau* is then the baseline kernel object itself) or the
+hard minimum over actions (a greedy pi*).  ``solve_formulation`` validates
+the problem once, picks the two weights and runs the pass; ``solve_central``
+is its central case.  ``_evaluate`` is the matching backward evaluator for
+fixed decision variables, behind ``expected_cost_under``, ``rsoc_value``,
 ``regularized_policy_value`` and ``central_policy_value``.
 ``evaluate_objective`` scores arbitrary decision variables by exhaustive
 enumeration instead, so every solver output can be cross-checked.
@@ -77,18 +81,6 @@ def _require_dirac(problem: ControlProblem):
         )
 
 
-def _expected_next(problem: ControlProblem, t: int, v_next: np.ndarray) -> np.ndarray:
-    return np.einsum("xuy,y->xu", problem.baseline_kernels.table[t], v_next)
-
-
-def _one_hot(q: np.ndarray) -> np.ndarray:
-    """Greedy rows; ties go to the lowest action index."""
-    best = np.argmin(q, axis=-1)
-    table = np.zeros_like(q)
-    table[np.arange(q.shape[0]), best] = 1.0
-    return table
-
-
 def _policy_weight(
     problem: ControlProblem, synchronized: bool, table_literal: bool
 ) -> float:
@@ -107,54 +99,49 @@ def _policy_weight(
 
 def _backward(
     problem: ControlProblem,
+    form: Formulation,
     weight_p: Optional[float],
     weight_s: Optional[float],
-    greedy_policy: bool,
-    tilt_kernel: bool,
 ) -> Solution:
-    """Shared backward pass.
+    """Shared backward pass of every formulation.
 
-    weight_s None means transitions are pinned to the baseline (plain
-    expectation in the Q step); weight_p None with greedy_policy selects the
-    hard minimum over actions.
+    A side without a weight is pinned.  weight_s None takes the plain
+    expectation over the baseline kernels in the Q step, and tau* is the
+    baseline kernel object itself.  weight_p None takes the hard minimum over
+    actions, and pi* is greedy, with ties going to the lowest action index.
     """
-    T, S = problem.horizon, problem.num_states
+    T, S, A = problem.horizon, problem.num_states, problem.num_actions
     iota = problem.baseline_kernels.table
     rho = problem.baseline_policy.table
     V = np.empty((T + 1, S))
     V[T] = problem.terminal_cost
-    Q = np.empty((T, S, problem.num_actions))
-    pi = np.empty_like(Q)
-    tau = np.empty_like(iota)
+    Q = np.empty((T, S, A))
+    pi = None if weight_p is None else np.empty_like(Q)
+    tau = None if weight_s is None else np.empty_like(iota)
     for t in reversed(range(T)):
         if weight_s is None:
-            Q[t] = problem.stage_costs[t] + _expected_next(problem, t, V[t + 1])
-            tau[t] = iota[t]
+            # einsum, not `@`: the matmul sums in another order, which splits
+            # an exact tie between two actions of grid4x4 by one ulp and so
+            # changes which action the greedy row picks.
+            Q[t] = problem.stage_costs[t] + np.einsum("xuy,y->xu", iota[t], V[t + 1])
         else:
             Q[t] = problem.stage_costs[t] + entropic_risk_rows(iota[t], V[t + 1], weight_s)
             # The stage cost is constant along x', so tilting by c + V equals
             # tilting by V alone.
-            tau[t] = (
-                tilted_rows(iota[t], V[t + 1], weight_s)
-                if tilt_kernel
-                else iota[t]
-            )
-        if greedy_policy:
-            pi[t] = _one_hot(Q[t])
+            tau[t] = tilted_rows(iota[t], V[t + 1], weight_s)
+        if weight_p is None:
             V[t] = Q[t].min(axis=-1)
         else:
             V[t] = entropic_risk_rows(rho[t], Q[t], weight_p)
             pi[t] = tilted_rows(rho[t], Q[t], weight_p)
-    return Solution(Formulation.CENTRAL, V, Q, Policy(pi), TransitionKernel(tau))
+    pi_star = Policy.deterministic(Q.argmin(axis=-1), A) if pi is None else Policy(pi)
+    tau_star = problem.baseline_kernels if tau is None else TransitionKernel(tau)
+    return Solution(form, V, Q, pi_star, tau_star)
 
 
 def solve_central(problem: ControlProblem) -> Solution:
     """Backward recursion of the two-weight KL-regularized problem."""
-    _require_valid(problem)
-    lam_p = _require_lambda_p(problem)
-    lam_s = _require_lambda_s(problem)
-    sol = _backward(problem, lam_p, lam_s, greedy_policy=False, tilt_kernel=True)
-    return Solution(Formulation.CENTRAL, sol.V, sol.Q, sol.pi_star, sol.tau_star)
+    return solve_formulation(problem, Formulation.CENTRAL)
 
 
 def solve_formulation(
@@ -164,33 +151,24 @@ def solve_formulation(
     synchronized: bool = False,
     table_literal: bool = False,
 ) -> Solution:
-    """Dispatch the backward recursion of one named formulation."""
+    """Dispatch the backward recursion of one named formulation.
+
+    Each formulation is ``_backward`` with the weights of its free sides; doc
+    and sp_doc are soc and sp_soc on deterministic baseline kernels.
+    """
     form = Formulation(form)
     _require_valid(problem)
-    if form is Formulation.CENTRAL:
-        return solve_central(problem)
-    if form is Formulation.SOC:
-        sol = _backward(problem, None, None, greedy_policy=True, tilt_kernel=False)
-    elif form is Formulation.SP_SOC:
-        lam_p = _require_lambda_p(problem)
-        sol = _backward(problem, lam_p, None, greedy_policy=False, tilt_kernel=False)
-    elif form is Formulation.RSOC:
-        lam_s = _require_lambda_s(problem)
-        sol = _backward(problem, None, lam_s, greedy_policy=True, tilt_kernel=True)
-    elif form is Formulation.SP_RSOC:
+    if form in (Formulation.DOC, Formulation.SP_DOC):
+        _require_dirac(problem)
+    weight_p = None
+    if form is Formulation.SP_RSOC:
         weight_p = _policy_weight(problem, synchronized, table_literal)
-        lam_s = _require_lambda_s(problem)
-        sol = _backward(problem, weight_p, lam_s, greedy_policy=False, tilt_kernel=True)
-    elif form is Formulation.DOC:
-        _require_dirac(problem)
-        sol = _backward(problem, None, None, greedy_policy=True, tilt_kernel=False)
-    elif form is Formulation.SP_DOC:
-        _require_dirac(problem)
-        lam_p = _require_lambda_p(problem)
-        sol = _backward(problem, lam_p, None, greedy_policy=False, tilt_kernel=False)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown formulation {form}")
-    return Solution(form, sol.V, sol.Q, sol.pi_star, sol.tau_star)
+    elif form in (Formulation.CENTRAL, Formulation.SP_SOC, Formulation.SP_DOC):
+        weight_p = _require_lambda_p(problem)
+    weight_s = None
+    if form in (Formulation.CENTRAL, Formulation.RSOC, Formulation.SP_RSOC):
+        weight_s = _require_lambda_s(problem)
+    return _backward(problem, form, weight_p, weight_s)
 
 
 def _evaluate(

@@ -40,17 +40,20 @@ class CheckResult:
     detail: str = ""
 
 
+def _perturb_rows(table: np.ndarray, rng, scale: float) -> np.ndarray:
+    out = table * np.exp(scale * rng.standard_normal(table.shape))
+    out = np.where(table > 0, out, 0.0)
+    return out / out.sum(axis=-1, keepdims=True)
+
+
 def perturb_policy(policy: Policy, rng, scale: float = 0.3) -> Policy:
     """Random support-preserving multiplicative perturbation of each row."""
-    table = policy.table * np.exp(scale * rng.standard_normal(policy.table.shape))
-    table = np.where(policy.table > 0, table, 0.0)
-    return Policy(table / table.sum(axis=-1, keepdims=True))
+    return Policy(_perturb_rows(policy.table, rng, scale))
 
 
 def perturb_kernel(kernel: TransitionKernel, rng, scale: float = 0.3) -> TransitionKernel:
-    table = kernel.table * np.exp(scale * rng.standard_normal(kernel.table.shape))
-    table = np.where(kernel.table > 0, table, 0.0)
-    return TransitionKernel(table / table.sum(axis=-1, keepdims=True))
+    """Random support-preserving multiplicative perturbation of each row."""
+    return TransitionKernel(_perturb_rows(kernel.table, rng, scale))
 
 
 def central_no_improvement(problem, sol, opt, rng, num_perturbations) -> float:
@@ -192,7 +195,8 @@ def run_checks(
             b <= a + 1e-12
             for a, b in zip(trace.true_objective, trace.true_objective[1:])
         )
-        record("mm-descent", mono, f"{trace.iterations} iterations")
+        stop = "converged" if trace.converged else "not converged"
+        record("mm-descent", mono, f"{stop} after {trace.iterations} iterations")
     return results
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from klctrl import (
     ComponentSet,
+    ProblemValidationError,
     compose,
     from_desirability,
     linear_backward,
@@ -167,6 +168,22 @@ def test_path_integral_rejects_nonpositive_chunk_size(m1):
     for chunk in (0, -5):
         with pytest.raises(ValueError, match="chunk_size"):
             path_integral_estimate(m1, 1.0, 0, 0, num_samples=10, seed=0, chunk_size=chunk)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: linear_backward(p, 1.0),
+        lambda p: compose(p, ComponentSet([[1.0, 0.0]], [1.0]), 1.0),
+        lambda p: path_integral_estimate(p, 1.0, 0, 0, num_samples=10, seed=0),
+    ],
+    ids=["linear_backward", "compose", "path_integral_estimate"],
+)
+def test_invalid_problem_is_refused(m1, call):
+    costs = m1.stage_costs.copy()
+    costs[0, 0, 1] = np.nan
+    with pytest.raises(ProblemValidationError, match=r"stage_costs\(0, 0, 1\): non-finite entry"):
+        call(m1.replace(stage_costs=costs))
 
 
 def test_compose_single_component_is_the_identity(rng):

@@ -89,6 +89,37 @@ def test_non_finite_json_literals_are_refused(tmp_path, capsys, literal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"lambda_p": [1]},
+        {"transitions": {"a": 1}},
+        {"components": [5]},
+        {"components": [{"terminal_cost": [0, 1], "gamma": "x"}]},
+    ],
+    ids=["lambda_p-list", "transitions-object", "component-number", "gamma-string"],
+)
+def test_malformed_field_types_are_format_errors(tmp_path, field):
+    doc = minimal_doc() | field
+    with pytest.raises(ProblemFormatError):
+        parse_problem(doc)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(klctrl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["solve", "--problem", str(path), "--formulation", "soc", "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "klctrl.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_import_needs_numpy_alone():
     src = str(Path(klctrl.__file__).resolve().parent.parent)
     env = dict(os.environ)

@@ -8,12 +8,13 @@ from klctrl import (
     em_solve,
     evaluate_objective,
     initial_value,
+    load_bundled_problem,
     mm_solve,
     regularized_policy_value,
     solve_formulation,
 )
 from klctrl.solvers import expected_cost_under, rsoc_value
-from klctrl.verify import perturb_policy
+from klctrl.verify import perturb_policy, run_checks
 
 from conftest import random_problem
 
@@ -121,6 +122,14 @@ def test_mm_argument_validation(m1):
         mm_solve(m1, "soc", 1.0, 1e-8, 0)
 
 
+def test_em_argument_validation(m1):
+    for tol in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            em_solve(m1, 1.0, tol, 10)
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        em_solve(m1, 1.0, 1e-8, 0)
+
+
 def test_em_on_m1_first_step(m1):
     policy, trace = em_solve(m1, lam=1.0, tol=0.0, max_iters=1)
     assert policy.table[0, 0, 1] == pytest.approx(1 / (1 + np.exp(-1)), abs=1e-12)
@@ -202,3 +211,13 @@ def test_em_takes_each_objective_from_the_next_e_step(rng, monkeypatch):
         assert len(calls) == 1
         values = [rsoc_value(problem, Policy(pi), lam) for pi in trace.policy_iterates]
         np.testing.assert_allclose(trace.true_objective, values[1:], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, detail",
+    [("m1", "converged after 24 iterations"), ("chain5", "not converged after 200 iterations")],
+)
+def test_verify_says_whether_mm_converged(name, detail):
+    problem, components = load_bundled_problem(name)
+    (check,) = [r for r in run_checks(problem, components) if r.name == "mm-descent"]
+    assert (check.status, check.detail) == ("pass", detail)

@@ -55,6 +55,17 @@ def test_non_finite_kernel_row_is_refused(bad):
         TransitionKernel(table)
 
 
+def test_row_summing_to_one_with_a_negative_entry_is_refused():
+    with pytest.raises(ProblemValidationError) as err:
+        Policy(np.array([[[0.5, 0.5], [1.5, -0.5]]]))
+    assert err.value.violations == ["pi(0, 1, 1): negative entry -0.5"]
+    table = make_m1().baseline_kernels.table.copy()
+    table[0, 1, 0] = [-0.25, 1.25]
+    with pytest.raises(ProblemValidationError) as err:
+        TransitionKernel(table)
+    assert err.value.violations == ["tau(0, 1, 0, 0): negative entry -0.25"]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_initial_distribution_is_a_violation(bad):
     problem = make_m1().replace(initial_distribution=[bad, 0.0])

@@ -143,6 +143,33 @@ def test_doc_requires_dirac_kernels(rng):
     np.testing.assert_allclose(doc.V, soc.V, atol=1e-14)
 
 
+@pytest.mark.parametrize("form", ["soc", "sp_soc", "doc", "sp_doc"])
+def test_pinned_transitions_return_the_baseline_kernel_itself(rng, form):
+    problem = random_problem(rng, dirac=True)
+    sol = solve_formulation(problem, form)
+    assert sol.tau_star is problem.baseline_kernels
+
+
+def test_greedy_policy_breaks_a_tie_toward_the_lowest_action():
+    # one state: every action returns to it, so Q is the stage cost plus a
+    # constant and ties exactly where the costs do
+    problem = ControlProblem(
+        horizon=2,
+        num_states=1,
+        num_actions=3,
+        initial_distribution=[1.0],
+        baseline_kernels=TransitionKernel(np.ones((2, 1, 3, 1))),
+        baseline_policy=Policy(np.full((2, 1, 3), 1 / 3)),
+        stage_costs=[[[2.0, 1.0, 1.0]], [[0.5, 0.5, 0.5]]],
+        terminal_cost=[0.0],
+        lambda_s=1.0,
+    )
+    for form in (Formulation.SOC, Formulation.RSOC, Formulation.DOC):
+        sol = solve_formulation(problem, form)
+        np.testing.assert_array_equal(sol.pi_star.table, [[[0, 1, 0]], [[1, 0, 0]]])
+        assert sol.V[0, 0] == pytest.approx(1.5, abs=1e-14)
+
+
 def test_missing_lambda_is_an_error(rng):
     problem = random_problem(rng).replace(lambda_s=None)
     with pytest.raises(ValueError):
