@@ -24,15 +24,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CAP = 2
 
-_FORM_FLAGS = {
-    "central": Formulation.CENTRAL,
-    "soc": Formulation.SOC,
-    "sp-soc": Formulation.SP_SOC,
-    "rsoc": Formulation.RSOC,
-    "sp-rsoc": Formulation.SP_RSOC,
-    "doc": Formulation.DOC,
-    "sp-doc": Formulation.SP_DOC,
-}
+_FORM_FLAGS = {f.value.replace("_", "-"): f for f in Formulation}
 
 
 def _load(path):

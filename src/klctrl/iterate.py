@@ -22,6 +22,7 @@ from .model import ControlProblem, Policy
 from .risk import tilted_rows
 from .solvers import (
     Formulation,
+    _require_lambda_s,
     expected_cost_under,
     initial_value,
     rsoc_value,
@@ -88,6 +89,8 @@ def mm_solve(
     if not lambda_p > 0:
         raise ValueError("lambda_p must be > 0")
     _require_stopping_rule(tol, max_iters)
+    if target == "rsoc":
+        _require_lambda_s(problem)
     form = Formulation.SP_SOC if target == "soc" else Formulation.SP_RSOC
 
     def true_objective(policy: Policy) -> float:

@@ -1,15 +1,16 @@
 """Tabular finite-horizon controlled Markov model.
 
-Holds the problem data (baseline policy/kernels, costs, KL weights) and the
-trajectory-level quantities every solver consumes: log-probabilities,
-cumulative costs and stagewise KL decompositions.
+Holds the problem data (baseline policy/kernels, costs, KL weights), its
+validation, and the two table helpers shared downstream: forward state
+marginals and the rowwise KL divergence.  Trajectory-level quantities live
+in ``oracle``, which owns trajectory enumeration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -115,24 +116,6 @@ class TransitionKernel:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """A realized path (x_0, u_0, ..., x_{T-1}, u_{T-1}, x_T)."""
-
-    states: tuple
-    actions: tuple
-
-    def __post_init__(self):
-        if len(self.states) != len(self.actions) + 1:
-            raise ValueError("need exactly one more state than actions")
-        object.__setattr__(self, "states", tuple(int(s) for s in self.states))
-        object.__setattr__(self, "actions", tuple(int(u) for u in self.actions))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.actions)
-
-
-@dataclass(frozen=True)
 class ControlProblem:
     """Finite-horizon tabular control problem with KL regularization weights.
 
@@ -229,36 +212,6 @@ def cost_warnings(problem: ControlProblem) -> list:
     return out
 
 
-def cumulative_cost(problem: ControlProblem, traj: Trajectory) -> float:
-    """Sum of visited stage costs plus the terminal cost."""
-    if traj.horizon != problem.horizon:
-        raise ValueError("trajectory length does not match the problem horizon")
-    total = float(problem.terminal_cost[traj.states[-1]])
-    for t in range(problem.horizon):
-        total += float(problem.stage_costs[t, traj.states[t], traj.actions[t]])
-    return total
-
-
-def trajectory_log_prob(
-    problem: ControlProblem,
-    policy: Policy,
-    kernel: TransitionKernel,
-    traj: Trajectory,
-) -> float:
-    """Log-probability of a trajectory under (policy, kernel); -inf off support."""
-    if traj.horizon != problem.horizon:
-        raise ValueError("trajectory length does not match the problem horizon")
-    factors = [problem.initial_distribution[traj.states[0]]]
-    for t in range(problem.horizon):
-        x, u, y = traj.states[t], traj.actions[t], traj.states[t + 1]
-        factors.append(policy.table[t, x, u])
-        factors.append(kernel.table[t, x, u, y])
-    factors = np.asarray(factors)
-    if (factors == 0).any():
-        return -np.inf
-    return float(np.log(factors).sum())
-
-
 def state_marginals(
     problem: ControlProblem, policy: Policy, kernel: TransitionKernel
 ) -> np.ndarray:
@@ -281,37 +234,3 @@ def kl_rows(p: np.ndarray, q: np.ndarray, name: str) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)) - np.log(np.where(q > 0, q, 1.0)), 0.0)
     return (p * ratio).sum(axis=-1)
-
-
-def trajectory_kl(
-    policy_a: Policy,
-    policy_b: Policy,
-    kernel_a: TransitionKernel,
-    kernel_b: TransitionKernel,
-    problem: ControlProblem,
-) -> tuple:
-    """Trajectory-level KL pair (policy term, kernel term).
-
-    Both terms are expectations under the trajectory distribution generated by
-    (policy_a, kernel_a): the policy term sums E[KL(pi_a,t || pi_b,t)] over
-    stages and the kernel term the analogous transition expression.
-    """
-    marg = state_marginals(problem, policy_a, kernel_a)
-    d_pi = 0.0
-    d_tau = 0.0
-    for t in range(problem.horizon):
-        reach = marg[t] > 0
-        if not reach.any():
-            continue
-        kl_pi = kl_rows(
-            policy_a.table[t][reach], policy_b.table[t][reach], f"pi[{t}]"
-        )
-        d_pi += float(marg[t][reach] @ kl_pi)
-        joint = marg[t][:, None] * policy_a.table[t]
-        sel = joint > 0
-        if sel.any():
-            kl_tau = kl_rows(
-                kernel_a.table[t][sel], kernel_b.table[t][sel], f"tau[{t}]"
-            )
-            d_tau += float(joint[sel] @ kl_tau)
-    return d_pi, d_tau

@@ -1,7 +1,9 @@
 """Brute-force exact computation on small instances.
 
-Exhaustive trajectory enumeration, exact risk objectives, exponentially
-tilted posteriors, conditional policies and deterministic-policy sweeps.
+Exhaustive trajectory enumeration and the trajectory-level quantities on
+it, exact risk objectives, exponentially tilted posteriors, conditional
+policies and deterministic-policy sweeps.  ``evaluate_objective`` scores any
+decision variables by enumeration, with the weights of ``solvers._weights``.
 These are the ground truth the solver modules are tested against, so every
 answer here is exact or absent: caps raise, they never truncate.
 """
@@ -9,16 +11,13 @@ answer here is exact or absent: caps raise, they never truncate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .model import (
-    ControlProblem,
-    Policy,
-    Trajectory,
-    TransitionKernel,
-)
-from .risk import _coerce_lambda, logsumexp
+from .model import ControlProblem, Policy, TransitionKernel, kl_rows, state_marginals
+from .risk import _coerce_lambda, entropic_risk, logsumexp
+from .solvers import Formulation, _require_valid, _weights
 
 DEFAULT_TRAJECTORY_CAP = 10**6
 DEFAULT_POLICY_CAP = 10**6
@@ -26,6 +25,54 @@ DEFAULT_POLICY_CAP = 10**6
 
 class EnumerationCapError(RuntimeError):
     """The instance exceeds the configured enumeration cap."""
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A realized path (x_0, u_0, ..., x_{T-1}, u_{T-1}, x_T)."""
+
+    states: tuple
+    actions: tuple
+
+    def __post_init__(self):
+        if len(self.states) != len(self.actions) + 1:
+            raise ValueError("need exactly one more state than actions")
+        object.__setattr__(self, "states", tuple(int(s) for s in self.states))
+        object.__setattr__(self, "actions", tuple(int(u) for u in self.actions))
+
+    @property
+    def horizon(self) -> int:
+        return len(self.actions)
+
+
+def cumulative_cost(problem: ControlProblem, traj: Trajectory) -> float:
+    """Sum of visited stage costs plus the terminal cost."""
+    if traj.horizon != problem.horizon:
+        raise ValueError("trajectory length does not match the problem horizon")
+    total = float(problem.terminal_cost[traj.states[-1]])
+    for t in range(problem.horizon):
+        total += float(problem.stage_costs[t, traj.states[t], traj.actions[t]])
+    return total
+
+
+def trajectory_log_prob(
+    problem: ControlProblem,
+    policy: Policy,
+    kernel: TransitionKernel,
+    traj: Trajectory,
+) -> float:
+    """Log-probability of a trajectory under (policy, kernel); -inf off support."""
+    if traj.horizon != problem.horizon:
+        raise ValueError("trajectory length does not match the problem horizon")
+    factors = [problem.initial_distribution[traj.states[0]]]
+    for t in range(problem.horizon):
+        x, u, y = traj.states[t], traj.actions[t], traj.states[t + 1]
+        factors.append(policy.table[t, x, u])
+        factors.append(kernel.table[t, x, u, y])
+    factors = np.asarray(factors)
+    if (factors == 0).any():
+        return -np.inf
+    return float(np.log(factors).sum())
 
 
 @dataclass(frozen=True)
@@ -115,6 +162,87 @@ def exact_risk_objective(table: TrajectoryTable, lam) -> float:
 
 def expected_cost(table: TrajectoryTable) -> float:
     return float(table.probs @ table.costs)
+
+
+def trajectory_kl(
+    policy_a: Policy,
+    policy_b: Policy,
+    kernel_a: TransitionKernel,
+    kernel_b: TransitionKernel,
+    problem: ControlProblem,
+) -> tuple:
+    """Trajectory-level KL pair (policy term, kernel term).
+
+    Both terms are expectations under the trajectory distribution generated by
+    (policy_a, kernel_a): the policy term sums E[KL(pi_a,t || pi_b,t)] over
+    stages and the kernel term the analogous transition expression.
+    """
+    marg = state_marginals(problem, policy_a, kernel_a)
+    d_pi = 0.0
+    d_tau = 0.0
+    for t in range(problem.horizon):
+        reach = marg[t] > 0
+        if not reach.any():
+            continue
+        kl_pi = kl_rows(
+            policy_a.table[t][reach], policy_b.table[t][reach], f"pi[{t}]"
+        )
+        d_pi += float(marg[t][reach] @ kl_pi)
+        joint = marg[t][:, None] * policy_a.table[t]
+        sel = joint > 0
+        if sel.any():
+            kl_tau = kl_rows(
+                kernel_a.table[t][sel], kernel_b.table[t][sel], f"tau[{t}]"
+            )
+            d_tau += float(joint[sel] @ kl_tau)
+    return d_pi, d_tau
+
+
+def evaluate_objective(
+    problem: ControlProblem,
+    form: Formulation,
+    policy: Policy,
+    kernel: Optional[TransitionKernel] = None,
+    *,
+    synchronized: bool = False,
+    table_literal: bool = False,
+) -> float:
+    """Score the given decision variables under one formulation, exactly.
+
+    One enumeration under (policy, kernel or the baseline kernels) gives the
+    expected cost; each free side adds its stagewise KL expectation under the
+    same trajectories over its weight.  A kernel is required when both sides
+    are free (central, sp_rsoc) and refused when the transitions are pinned.
+    For rsoc without a kernel the exponential-utility value of the policy is
+    returned, with the risk taken per initial state.
+    """
+    form = Formulation(form)
+    _require_valid(problem)
+    weight_p, weight_s = _weights(problem, form, synchronized, table_literal)
+    if kernel is not None and weight_s is None:
+        raise ValueError(f"{form.value} has no free transition kernel")
+    if kernel is None and weight_p is not None and weight_s is not None:
+        raise ValueError(f"{form.value} needs an explicit transition kernel")
+    iota = problem.baseline_kernels
+    table = enumerate_trajectories(problem, policy, iota if kernel is None else kernel)
+    if kernel is None and weight_s is not None:
+        # the unpinned transitions take their extremum: risk conditional on
+        # each initial state, averaged under p(x0)
+        p0, x0 = problem.initial_distribution, table.states[:, 0]
+        value = 0.0
+        for x in np.nonzero(p0)[0]:
+            mask = x0 == x
+            value += p0[x] * entropic_risk(table.probs[mask] / p0[x], table.costs[mask], weight_s)
+        return float(value)
+    # a pinned policy is scored against itself, so its KL term is zero
+    reference = policy if weight_p is None else problem.baseline_policy
+    d_pi, d_tau = trajectory_kl(policy, reference, table.kernel, iota, problem)
+    value = expected_cost(table)
+    if weight_p is not None:
+        value += d_pi / weight_p
+    if kernel is not None:
+        value += d_tau / weight_s
+    return value
 
 
 def exact_posterior(problem: ControlProblem, policy: Policy, lam) -> TrajectoryTable:

@@ -5,6 +5,8 @@ and optional compositional components.  Per-stage tables may be given once
 with ``"time_homogeneous": true`` and are expanded to the horizon length.
 Unknown keys are rejected so typos never pass silently, and so are the
 non-standard ``NaN``/``Infinity`` literals that Python's json module accepts.
+Fields are never coerced: counts must be JSON integers, the homogeneity flag
+a JSON boolean, and weights and table entries JSON numbers.
 """
 
 from __future__ import annotations
@@ -44,8 +46,23 @@ def _reject_constant(name):
     raise ProblemFormatError(f"non-finite literal {name} is not allowed")
 
 
+def _scalar(name, value, types, kind):
+    """``value`` if it is of ``types``; a bool passes only as a boolean."""
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise ProblemFormatError(f"{name} must be a JSON {kind}, got {value!r}")
+    return value
+
+
+def _table(name, value) -> np.ndarray:
+    """Float array of a JSON table, in one conversion; refuses non-numbers."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ProblemFormatError(f"{name} must hold JSON numbers only")
+    return arr.astype(float, copy=False)
+
+
 def _expand(name, value, homogeneous_shape, full_shape, time_homogeneous):
-    arr = np.asarray(value, dtype=float)
+    arr = _table(name, value)
     if arr.shape == full_shape:
         return arr
     if arr.shape == homogeneous_shape:
@@ -68,13 +85,8 @@ def parse_problem(doc: dict) -> Tuple[ControlProblem, Optional[ComponentSet]]:
     missing = REQUIRED_KEYS - set(doc)
     if missing:
         raise ProblemFormatError(f"missing keys: {sorted(missing)}")
-    try:
-        T = int(doc["horizon"])
-        S = int(doc["num_states"])
-        A = int(doc["num_actions"])
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"bad integer field: {exc}") from exc
-    homogeneous = bool(doc.get("time_homogeneous", False))
+    T, S, A = (_scalar(k, doc[k], int, "integer") for k in ("horizon", "num_states", "num_actions"))
+    homogeneous = _scalar("time_homogeneous", doc.get("time_homogeneous", False), bool, "boolean")
     try:
         transitions = _expand(
             "transitions", doc["transitions"], (S, A, S), (T, S, A, S), homogeneous
@@ -89,12 +101,16 @@ def parse_problem(doc: dict) -> Tuple[ControlProblem, Optional[ComponentSet]]:
             baseline_policy = _expand(
                 "baseline_policy", policy_doc, (S, A), (T, S, A), homogeneous
             )
-        initial = np.asarray(doc["initial_distribution"], dtype=float)
-        terminal = np.asarray(doc["terminal_cost"], dtype=float)
+        initial = _table("initial_distribution", doc["initial_distribution"])
+        terminal = _table("terminal_cost", doc["terminal_cost"])
         if initial.shape != (S,):
             raise ProblemFormatError("initial_distribution must have one entry per state")
         if terminal.shape != (S,):
             raise ProblemFormatError("terminal_cost must have one entry per state")
+        lam_p, lam_s = (
+            None if doc.get(key) is None else float(_scalar(key, doc[key], (int, float), "number"))
+            for key in ("lambda_p", "lambda_s")
+        )
         problem = ControlProblem(
             horizon=T,
             num_states=S,
@@ -104,8 +120,8 @@ def parse_problem(doc: dict) -> Tuple[ControlProblem, Optional[ComponentSet]]:
             baseline_policy=Policy(baseline_policy),
             stage_costs=stage_costs,
             terminal_cost=terminal,
-            lambda_p=None if doc.get("lambda_p") is None else float(doc["lambda_p"]),
-            lambda_s=None if doc.get("lambda_s") is None else float(doc["lambda_s"]),
+            lambda_p=lam_p,
+            lambda_s=lam_s,
         )
         components = None
         if "components" in doc:
@@ -118,19 +134,20 @@ def parse_problem(doc: dict) -> Tuple[ControlProblem, Optional[ComponentSet]]:
                     raise ProblemFormatError(
                         f"components[{i}] must be an object with exactly terminal_cost and gamma"
                     )
-                tc = np.asarray(entry["terminal_cost"], dtype=float)
+                tc = _table(f"components[{i}].terminal_cost", entry["terminal_cost"])
                 if tc.shape != (S,):
                     raise ProblemFormatError(
                         f"components[{i}].terminal_cost must have one entry per state"
                     )
                 costs.append(tc)
-                gammas.append(float(entry["gamma"]))
+                gamma = _scalar(f"components[{i}].gamma", entry["gamma"], (int, float), "number")
+                gammas.append(float(gamma))
             components = ComponentSet(np.stack(costs), np.asarray(gammas))
     except ProblemFormatError:
         raise
     except (TypeError, ValueError) as exc:
-        # a value of the wrong JSON type (a list for a number, an object for
-        # a table) surfaces as TypeError from float() or np.asarray
+        # a ragged table or an impossible count surfaces as ValueError from
+        # numpy or ControlProblem
         raise ProblemFormatError(str(exc)) from exc
     return problem, components
 

@@ -7,11 +7,11 @@ a pinned side is one without a weight: its step is the plain expectation over
 the baseline kernels (tau* is then the baseline kernel object itself) or the
 hard minimum over actions (a greedy pi*).  ``solve_formulation`` validates
 the problem once, picks the two weights and runs the pass; ``solve_central``
-is its central case.  ``_evaluate`` is the matching backward evaluator for
-fixed decision variables, behind ``expected_cost_under``, ``rsoc_value``,
+is its central case.  ``_weights`` maps a formulation to its two weights;
+``oracle.evaluate_objective`` scores by enumeration through the same map.
+``_evaluate`` is the matching backward evaluator for fixed decision
+variables, behind ``expected_cost_under``, ``rsoc_value``,
 ``regularized_policy_value`` and ``central_policy_value``.
-``evaluate_objective`` scores arbitrary decision variables by exhaustive
-enumeration instead, so every solver output can be cross-checked.
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ from typing import Optional
 
 import numpy as np
 
-from . import oracle
 from .model import (
     ControlProblem,
     Policy,
     ProblemValidationError,
     TransitionKernel,
     kl_rows,
-    trajectory_kl,
     validate_problem,
 )
-from .risk import entropic_risk, entropic_risk_rows, tilted_rows
+from .risk import entropic_risk_rows, tilted_rows
 
 
 class Formulation(str, enum.Enum):
@@ -81,20 +79,30 @@ def _require_dirac(problem: ControlProblem):
         )
 
 
-def _policy_weight(
-    problem: ControlProblem, synchronized: bool, table_literal: bool
-) -> float:
-    lam_s = _require_lambda_s(problem)
-    if synchronized and table_literal:
-        raise ValueError("choose at most one of synchronized / table_literal")
-    if synchronized:
-        return abs(lam_s)
-    if table_literal:
-        # Literal column of the recursion table: lambda_s in the policy slot.
-        # For lambda_s < 0 this flips the policy extremization direction and
-        # no optimality properties are claimed.
-        return lam_s
-    return _require_lambda_p(problem)
+def _weights(
+    problem: ControlProblem, form: Formulation, synchronized: bool, table_literal: bool
+) -> tuple:
+    """(weight_p, weight_s) of one formulation; None marks a pinned side."""
+    weight_p = None
+    if form is Formulation.SP_RSOC:
+        lam_s = _require_lambda_s(problem)
+        if synchronized and table_literal:
+            raise ValueError("choose at most one of synchronized / table_literal")
+        if synchronized:
+            weight_p = abs(lam_s)
+        elif table_literal:
+            # Literal column of the recursion table: lambda_s in the policy
+            # slot.  For lambda_s < 0 this flips the policy extremization
+            # direction and no optimality properties are claimed.
+            weight_p = lam_s
+        else:
+            weight_p = _require_lambda_p(problem)
+    elif form in (Formulation.CENTRAL, Formulation.SP_SOC, Formulation.SP_DOC):
+        weight_p = _require_lambda_p(problem)
+    weight_s = None
+    if form in (Formulation.CENTRAL, Formulation.RSOC, Formulation.SP_RSOC):
+        weight_s = _require_lambda_s(problem)
+    return weight_p, weight_s
 
 
 def _backward(
@@ -160,14 +168,7 @@ def solve_formulation(
     _require_valid(problem)
     if form in (Formulation.DOC, Formulation.SP_DOC):
         _require_dirac(problem)
-    weight_p = None
-    if form is Formulation.SP_RSOC:
-        weight_p = _policy_weight(problem, synchronized, table_literal)
-    elif form in (Formulation.CENTRAL, Formulation.SP_SOC, Formulation.SP_DOC):
-        weight_p = _require_lambda_p(problem)
-    weight_s = None
-    if form in (Formulation.CENTRAL, Formulation.RSOC, Formulation.SP_RSOC):
-        weight_s = _require_lambda_s(problem)
+    weight_p, weight_s = _weights(problem, form, synchronized, table_literal)
     return _backward(problem, form, weight_p, weight_s)
 
 
@@ -177,24 +178,25 @@ def _evaluate(
     kernel: Optional[TransitionKernel] = None,
     *,
     weight_s: Optional[float] = None,
-    risk_s: bool = False,
     weight_p: Optional[float] = None,
     risk_p: bool = False,
     reference: Optional[Policy] = None,
 ) -> float:
     """Backward evaluation of a fixed policy (and kernel): sum_x p(x0) W_0(x0).
 
-    Transition step: with ``risk_s``, the entropic risk of W_{t+1} over the
-    baseline kernels with weight ``weight_s``; otherwise its expectation under
-    ``kernel`` (default: the baseline kernels), plus KL(kernel || baseline) /
-    weight_s when both are given.  Policy step: with ``risk_p``, the entropic
-    risk over ``policy`` with weight ``weight_p``; otherwise the expectation
-    under ``policy``, plus KL(policy || reference) / weight_p when a weight is
-    given (``reference`` defaults to the baseline policy).  O(T S^2 A), no
-    trajectory enumeration.
+    Transition step: with ``weight_s`` and no ``kernel``, the entropic risk of
+    W_{t+1} over the baseline kernels with weight ``weight_s`` (an unpinned
+    weighted side takes its extremum, as in ``_backward``); otherwise its
+    expectation under ``kernel`` (default: the baseline kernels), plus
+    KL(kernel || baseline) / weight_s when both are given.  Policy step:
+    with ``risk_p``, the entropic risk over ``policy`` with weight
+    ``weight_p``; otherwise the expectation under ``policy``, plus
+    KL(policy || reference) / weight_p when a weight is given (``reference``
+    defaults to the baseline policy).  O(T S^2 A), no trajectory enumeration.
     """
     iota = problem.baseline_kernels.table
     pi = policy.table
+    risk_s = kernel is None and weight_s is not None
     kl_tau = None
     if kernel is not None and weight_s is not None:
         kl_tau = kl_rows(kernel.table, iota, "tau") / weight_s
@@ -233,69 +235,9 @@ def rsoc_value(problem: ControlProblem, policy: Policy, lam: float) -> float:
     by every solver.  Conditional on x0 the risk of the whole trajectory cost
     nests stage by stage, over actions and transitions alike.
     """
-    return _evaluate(problem, policy, weight_s=lam, risk_s=True, weight_p=lam, risk_p=True)
-
-
-def evaluate_objective(
-    problem: ControlProblem,
-    form: Formulation,
-    policy: Policy,
-    kernel: Optional[TransitionKernel] = None,
-    *,
-    synchronized: bool = False,
-    table_literal: bool = False,
-) -> float:
-    """Score the given decision variables under one formulation, exactly.
-
-    Expectations are taken by exhaustive trajectory enumeration; the KL terms
-    are stagewise expectations under the induced trajectory distribution.  A
-    kernel is required whenever transitions are free (central, sp_rsoc); for
-    rsoc without a kernel the exponential-utility value of the policy is
-    returned, with the risk taken per initial state.
-    """
-    form = Formulation(form)
-    _require_valid(problem)
-    iota = problem.baseline_kernels
-    rho = problem.baseline_policy
-    if form in (Formulation.SOC, Formulation.DOC):
-        if kernel is not None:
-            raise ValueError(f"{form.value} has no free transition kernel")
-        return oracle.expected_cost(oracle.enumerate_trajectories(problem, policy, iota))
-    if form in (Formulation.SP_SOC, Formulation.SP_DOC):
-        if kernel is not None:
-            raise ValueError(f"{form.value} has no free transition kernel")
-        lam_p = _require_lambda_p(problem)
-        d_pi, _ = trajectory_kl(policy, rho, iota, iota, problem)
-        table = oracle.enumerate_trajectories(problem, policy, iota)
-        return oracle.expected_cost(table) + d_pi / lam_p
-    if form is Formulation.RSOC:
-        lam_s = _require_lambda_s(problem)
-        if kernel is None:
-            # risk conditional on each initial state, averaged under p(x0)
-            table = oracle.enumerate_trajectories(problem, policy, iota)
-            p0 = problem.initial_distribution
-            x0 = table.states[:, 0]
-            value = 0.0
-            for x in np.nonzero(p0)[0]:
-                mask = x0 == x
-                value += p0[x] * entropic_risk(
-                    table.probs[mask] / p0[x], table.costs[mask], lam_s
-                )
-            return float(value)
-        table = oracle.enumerate_trajectories(problem, policy, kernel)
-        _, d_tau = trajectory_kl(policy, policy, kernel, iota, problem)
-        return oracle.expected_cost(table) + d_tau / lam_s
-    # central / sp_rsoc: both KL terms, kernel mandatory.
-    if kernel is None:
-        raise ValueError(f"{form.value} needs an explicit transition kernel")
-    lam_s = _require_lambda_s(problem)
-    if form is Formulation.CENTRAL:
-        weight_p = _require_lambda_p(problem)
-    else:
-        weight_p = _policy_weight(problem, synchronized, table_literal)
-    table = oracle.enumerate_trajectories(problem, policy, kernel)
-    d_pi, d_tau = trajectory_kl(policy, rho, kernel, iota, problem)
-    return oracle.expected_cost(table) + d_pi / weight_p + d_tau / lam_s
+    if not (np.isfinite(lam) and lam != 0):
+        raise ValueError(f"rsoc_value needs a finite nonzero lambda, got {lam!r}")
+    return _evaluate(problem, policy, weight_s=lam, weight_p=lam, risk_p=True)
 
 
 def initial_value(problem: ControlProblem, solution: Solution) -> float:
@@ -318,15 +260,10 @@ def regularized_policy_value(
     """
     if target not in ("soc", "rsoc"):
         raise ValueError(f"unknown target {target!r}")
+    if not 0 < lambda_p < np.inf:
+        raise ValueError(f"lambda_p must be finite and > 0, got {lambda_p!r}")
     lam_s = _require_lambda_s(problem) if target == "rsoc" else None
-    return _evaluate(
-        problem,
-        policy,
-        weight_s=lam_s,
-        risk_s=target == "rsoc",
-        weight_p=lambda_p,
-        reference=baseline,
-    )
+    return _evaluate(problem, policy, weight_s=lam_s, weight_p=lambda_p, reference=baseline)
 
 
 def central_policy_value(
@@ -334,8 +271,9 @@ def central_policy_value(
 ) -> float:
     """Exact fully-regularized objective of fixed (policy, kernel) tables.
 
-    Backward policy evaluation in O(T S^2 A); agrees with evaluate_objective
-    on the central formulation but avoids trajectory enumeration.
+    Backward policy evaluation in O(T S^2 A); agrees with
+    ``oracle.evaluate_objective`` on the central formulation but avoids
+    trajectory enumeration.
     """
     lam_p = _require_lambda_p(problem)
     lam_s = _require_lambda_s(problem)

@@ -21,12 +21,12 @@ import numpy as np
 from . import oracle
 from .desirability import ComponentSet, compose, linear_backward, policy_from_desirability
 from .iterate import mm_solve
-from .model import ControlProblem, Policy, TransitionKernel, validate_problem
+from .model import ControlProblem, Policy, TransitionKernel, state_marginals, validate_problem
 from .oracle import EnumerationCapError
+from .risk import entropic_risk_rows
 from .solvers import (
     Formulation,
     central_policy_value,
-    evaluate_objective,
     initial_value,
     solve_central,
     solve_formulation,
@@ -114,7 +114,7 @@ def run_checks(
         sol = solve_central(problem)
         resid = _central_bellman_residual(problem, sol)
         record("central-bellman-residual", resid <= 1e-9, f"max residual {resid:.3g}")
-        opt = evaluate_objective(
+        opt = oracle.evaluate_objective(
             problem, Formulation.CENTRAL, sol.pi_star, sol.tau_star
         )
         gap = abs(opt - initial_value(problem, sol))
@@ -201,8 +201,6 @@ def run_checks(
 
 
 def _reachable_mask(problem: ControlProblem) -> np.ndarray:
-    from .model import state_marginals
-
     marg = state_marginals(
         problem, problem.baseline_policy, problem.baseline_kernels
     )
@@ -210,8 +208,6 @@ def _reachable_mask(problem: ControlProblem) -> np.ndarray:
 
 
 def _central_bellman_residual(problem: ControlProblem, sol) -> float:
-    from .risk import entropic_risk_rows
-
     worst = 0.0
     for t in range(problem.horizon):
         q = problem.stage_costs[t] + entropic_risk_rows(

@@ -120,6 +120,70 @@ def test_malformed_field_types_are_format_errors(tmp_path, field):
     assert proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"horizon": 1.9},
+        {"horizon": True},
+        {"num_states": "2"},
+        {"num_actions": 2.0},
+        {"time_homogeneous": "no"},
+        {"time_homogeneous": 1},
+        {"lambda_p": "1.5"},
+        {"lambda_p": True},
+        {"lambda_s": "-1"},
+        {"initial_distribution": ["1", "0"]},
+        {"terminal_cost": [None, 0.0]},
+        {"stage_costs": [[[False, False], [False, False]]]},
+        {"components": [{"terminal_cost": [0, 1], "gamma": True}]},
+    ],
+    ids=[
+        "horizon-float",
+        "horizon-bool",
+        "num_states-string",
+        "num_actions-float",
+        "time_homogeneous-string",
+        "time_homogeneous-number",
+        "lambda_p-string",
+        "lambda_p-bool",
+        "lambda_s-string",
+        "initial_distribution-strings",
+        "terminal_cost-null",
+        "stage_costs-bools",
+        "gamma-bool",
+    ],
+)
+def test_fields_are_not_coerced(tmp_path, field):
+    doc = minimal_doc() | field
+    with pytest.raises(ProblemFormatError):
+        parse_problem(doc)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    args = ["solve", "--problem", str(path), "--formulation", "soc", "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+
+
+def test_cli_mm_rsoc_without_lambda_s_exits_1(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(minimal_doc()))
+    src = str(Path(klctrl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = [
+        "mm", "--problem", str(path), "--target", "rsoc", "--lambda-p", "1.0",
+        "--tol", "1e-8", "--max-iters", "5", "--out", str(tmp_path / "o.json"),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "klctrl.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "lambda_s" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_import_needs_numpy_alone():
     src = str(Path(klctrl.__file__).resolve().parent.parent)
     env = dict(os.environ)

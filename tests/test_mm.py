@@ -122,6 +122,34 @@ def test_mm_argument_validation(m1):
         mm_solve(m1, "soc", 1.0, 1e-8, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m1: rsoc_value(m1, m1.baseline_policy, 0.0),
+        lambda m1: rsoc_value(m1, m1.baseline_policy, np.inf),
+        lambda m1: rsoc_value(m1, m1.baseline_policy, np.nan),
+        lambda m1: regularized_policy_value(m1, "soc", m1.baseline_policy, m1.baseline_policy, 0.0),
+        lambda m1: regularized_policy_value(m1, "rsoc", m1.baseline_policy, m1.baseline_policy, -1.0),
+        lambda m1: regularized_policy_value(m1, "soc", m1.baseline_policy, m1.baseline_policy, np.inf),
+        lambda m1: regularized_policy_value(m1, "soc", m1.baseline_policy, m1.baseline_policy, np.nan),
+        lambda m1: mm_solve(m1.replace(lambda_s=None), "rsoc", 1.0, 1e-8, 10),
+    ],
+    ids=[
+        "rsoc_value-zero",
+        "rsoc_value-inf",
+        "rsoc_value-nan",
+        "regularized-zero",
+        "regularized-negative",
+        "regularized-inf",
+        "regularized-nan",
+        "mm-rsoc-without-lambda_s",
+    ],
+)
+def test_degenerate_weights_are_refused(m1, call):
+    with pytest.raises(ValueError):
+        call(m1)
+
+
 def test_em_argument_validation(m1):
     for tol in (-1.0, np.nan):
         with pytest.raises(ValueError, match="tol must be >= 0"):

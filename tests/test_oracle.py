@@ -1,5 +1,8 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
+import klctrl
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from klctrl import (
     brute_force_policy_search,
     conditional_policy,
     enumerate_trajectories,
+    evaluate_objective,
     exact_posterior,
     exact_risk_objective,
     initial_value,
@@ -175,3 +179,101 @@ def test_policy_sweep_cap_raises(rng):
 def test_posterior_requires_positive_lambda(m1):
     with pytest.raises(ValueError):
         exact_posterior(m1, m1.baseline_policy, -1.0)
+
+
+def _output(form, kw, with_kernel):
+    words = [form.value, *kw] + (["tau"] if with_kernel else [])
+    return pytest.param(form, kw, with_kernel, id="-".join(words))
+
+
+# every solver output, scored with tau* where the transitions are free
+SOLVER_OUTPUTS = [
+    _output(Formulation.CENTRAL, {}, True),
+    _output(Formulation.SOC, {}, False),
+    _output(Formulation.SP_SOC, {}, False),
+    _output(Formulation.RSOC, {}, True),
+    _output(Formulation.RSOC, {}, False),
+    _output(Formulation.SP_RSOC, {}, True),
+    _output(Formulation.SP_RSOC, {"synchronized": True}, True),
+    _output(Formulation.SP_RSOC, {"table_literal": True}, True),
+    _output(Formulation.DOC, {}, False),
+    _output(Formulation.SP_DOC, {}, False),
+]
+
+
+@pytest.mark.parametrize("lam_s", [0.7, -1.3])
+@pytest.mark.parametrize("form, kw, with_kernel", SOLVER_OUTPUTS)
+def test_evaluate_objective_scores_each_solver_output_at_its_value(
+    rng, form, kw, with_kernel, lam_s
+):
+    dirac = form in (Formulation.DOC, Formulation.SP_DOC)
+    for _ in range(5):
+        problem = random_problem(
+            rng, max_states=3, max_actions=3, max_horizon=3, dirac=dirac, lambda_s=lam_s
+        )
+        sol = solve_formulation(problem, form, **kw)
+        kernel = sol.tau_star if with_kernel else None
+        value = evaluate_objective(problem, form, sol.pi_star, kernel, **kw)
+        assert value == pytest.approx(initial_value(problem, sol), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "form, kw, with_kernel",
+    [
+        _output(Formulation.SOC, {}, True),
+        _output(Formulation.SP_SOC, {}, True),
+        _output(Formulation.DOC, {}, True),
+        _output(Formulation.SP_DOC, {}, True),
+        _output(Formulation.CENTRAL, {}, False),
+        _output(Formulation.SP_RSOC, {}, False),
+        _output(Formulation.SP_RSOC, {"synchronized": True}, False),
+    ],
+)
+def test_evaluate_objective_refuses_a_kernel_that_does_not_fit(m1, form, kw, with_kernel):
+    kernel = m1.baseline_kernels if with_kernel else None
+    if with_kernel:
+        message = f"^{form.value} has no free transition kernel$"
+    else:
+        message = f"^{form.value} needs an explicit transition kernel$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_objective(m1, form, m1.baseline_policy, kernel, **kw)
+
+
+def test_trajectories_stay_inside_the_oracle():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(klctrl.__file__).resolve().parent.glob("*.py")
+    }
+
+    def referenced(tree):
+        out = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(alias.name for alias in node.names)
+        return out
+
+    # __init__.py only re-exports the public names
+    enumerating = {
+        name
+        for name, tree in trees.items()
+        if name != "__init__.py" and "enumerate_trajectories" in referenced(tree)
+    }
+    assert enumerating == {"oracle.py", "verify.py"}
+    solver_imports = [
+        node for node in ast.walk(trees["solvers.py"]) if isinstance(node, ast.ImportFrom)
+    ]
+    assert not any(node.module == "oracle" for node in solver_imports)
+    assert not any(
+        alias.name == "oracle" for node in solver_imports for alias in node.names
+    )
+    model_defs = {
+        node.name
+        for node in trees["model.py"].body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    moved = {"Trajectory", "cumulative_cost", "trajectory_log_prob", "trajectory_kl"}
+    assert not model_defs & moved
