@@ -7,6 +7,7 @@ from klctrl import (
     compose,
     from_desirability,
     linear_backward,
+    load_bundled_problem,
     path_integral_estimate,
     policy_from_desirability,
     solve_central,
@@ -141,6 +142,47 @@ def test_path_integral_is_chunk_schedule_independent(rng):
             problem, 1.0, 0, 0, num_samples=3000, seed=9, chunk_size=chunk
         )
         assert again == base
+
+
+# Outputs of the sampler pinned as float.hex: (problem, t, x, seed,
+# num_samples, chunk_size, estimate, stderr).  t = T takes no steps but still
+# draws two uniforms per sample; 333 does not divide 1000; the last seed of
+# each triple needs all 64 bits of the Philox key.
+PINNED_PATH_INTEGRAL = [
+    ("chain5", 0, 2, 0, 1000, 333, "0x1.9f304cc76f641p-3", "0x1.f751dd614a73dp-8"),
+    ("chain5", 0, 2, 5, 40, 1, "0x1.38d635555e35bp-3", "0x1.1335f541be07dp-5"),
+    ("chain5", 0, 2, 2**63 + 7, 1000, 65536, "0x1.adfeaff349cefp-3", "0x1.ff300704e004cp-8"),
+    ("chain5", 4, 2, 0, 1000, 333, "0x1.152aaa3bf81cfp-3", "0x1.84c66df0ca4c3p-59"),
+    ("chain5", 4, 2, 5, 40, 1, "0x1.152aaa3bf81ccp-3", "0x0.0p+0"),
+    ("chain5", 4, 2, 2**63 + 7, 1000, 65536, "0x1.152aaa3bf81cfp-3", "0x1.84c66df0ca4c3p-59"),
+    ("grid4x4", 0, 8, 0, 1000, 333, "0x1.35160a810d675p-5", "0x1.7e0078efe044bp-10"),
+    ("grid4x4", 0, 8, 5, 40, 1, "0x1.036c5e51ff59fp-5", "0x1.4974dbd8b67dfp-8"),
+    ("grid4x4", 0, 8, 2**63 + 7, 1000, 65536, "0x1.2123ecd34d071p-5", "0x1.63c93efafc58cp-10"),
+    ("grid4x4", 3, 8, 0, 1000, 333, "0x1.2c155b8213cf2p-6", "0x1.032ef3f5dc32cp-62"),
+    ("grid4x4", 3, 8, 5, 40, 1, "0x1.2c155b8213cf4p-6", "0x0.0p+0"),
+    ("grid4x4", 3, 8, 2**63 + 7, 1000, 65536, "0x1.2c155b8213cf2p-6", "0x1.032ef3f5dc32cp-62"),
+    ("sparse", 0, 3, 0, 1000, 333, "0x1.3390bae80293dp-8", "0x1.4c793b449f87fp-13"),
+    ("sparse", 0, 3, 5, 40, 1, "0x1.3c80b21377528p-8", "0x1.810cdfc3c6017p-11"),
+    ("sparse", 0, 3, 2**63 + 7, 1000, 65536, "0x1.47b7b031e5283p-8", "0x1.7ff576a1b4801p-13"),
+    ("sparse", 5, 3, 0, 1000, 333, "0x1.4eff2bac87c7fp-1", "0x0.0p+0"),
+    ("sparse", 5, 3, 5, 40, 1, "0x1.4eff2bac87c7fp-1", "0x0.0p+0"),
+    ("sparse", 5, 3, 2**63 + 7, 1000, 65536, "0x1.4eff2bac87c7fp-1", "0x0.0p+0"),
+]
+
+
+def _pinned_problem(name):
+    if name == "sparse":
+        return sparse_problem(np.random.default_rng(2024), 7, 3, 5, lambda_s=1.0)
+    return load_bundled_problem(name)[0]
+
+
+def test_path_integral_matches_pinned_outputs():
+    problems = {}
+    for name, t, x, seed, n, chunk, est, se in PINNED_PATH_INTEGRAL:
+        if name not in problems:
+            problems[name] = _pinned_problem(name)
+        out = path_integral_estimate(problems[name], 1.0, t, x, n, seed, chunk_size=chunk)
+        assert out == (float.fromhex(est), float.fromhex(se)), (name, t, seed, n, chunk)
 
 
 def test_path_integral_coverage(rng):
