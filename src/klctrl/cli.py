@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="chunk_size",
         type=int,
         default=65536,
-        help="rollout batch size; does not affect the result",
+        help="samples drawn and rolled out at once; bounds memory and does not change the result",
     )
     sample.add_argument("--out", required=True)
     sample.set_defaults(func=_cmd_sample_z)

@@ -198,29 +198,63 @@ def path_integral_estimate(
     """Monte Carlo estimate of z_t(x) by forward baseline rollouts.
 
     Draws trajectories from (rho, iota) starting at x_t = x and averages
-    exp(-lam * cost-to-go).  All uniform draws come from a counter-based
-    Philox stream indexed by sample position, so the result depends only on
-    (seed, num_samples): chunked or parallel evaluation cannot change it.
+    exp(-lam * cost-to-go).  Every uniform comes from one counter-based
+    Philox stream keyed by ``seed``: coin j (0 picks the action, 1 the next
+    state) of step k of sample i is draw number (i * max(steps, 1) + k) * 2 + j,
+    where steps = T - t.  The draws are taken chunk by chunk, each chunk
+    continuing the stream where the last one stopped.  So ``chunk_size``
+    bounds memory, O(num_samples + chunk_size * steps) beside one CDF copy
+    of the remaining policy and kernel tables, and the result depends only
+    on (seed, num_samples).  ``seed`` must be an integer in [0, 2**64).
     Returns (estimate, standard error of the mean).
     """
     lam = _require_positive_lambda(lam)
     _require_valid(problem)
-    T = problem.horizon
+    T, S, A = problem.horizon, problem.num_states, problem.num_actions
     if not 0 <= t <= T:
         raise ValueError("stage out of range")
-    if not 0 <= x < problem.num_states:
+    if not 0 <= x < S:
         raise ValueError("state out of range")
     if num_samples < 1:
         raise ValueError("need at least one sample")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     steps = T - t
+    # Inverse-CDF tables of the remaining stages, built once and transposed
+    # so that CDF column j is one contiguous vector over the rows: the policy
+    # (steps, A, S) over states, the kernel (steps, S, S*A) over the flat row
+    # index state*A + action.
+    policy_cdf = (
+        np.cumsum(problem.baseline_policy.table[t:], axis=-1).transpose(0, 2, 1).copy()
+    )
+    kernel_cdf = (
+        np.cumsum(problem.baseline_kernels.table[t:], axis=-1)
+        .reshape(steps, S * A, S)
+        .transpose(0, 2, 1)
+        .copy()
+    )
+    stage_costs = problem.stage_costs[t:].reshape(steps, S * A)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    draws = rng.random((num_samples, max(steps, 1), 2))
     values = np.empty(num_samples)
+    # one buffer refilled per chunk, so a chunk's draws never coexist with
+    # the previous chunk's
+    buffer = np.empty((min(chunk_size, num_samples), max(steps, 1), 2))
     for lo in range(0, num_samples, chunk_size):
         hi = min(lo + chunk_size, num_samples)
-        values[lo:hi] = _rollout_chunk(problem, lam, t, x, draws[lo:hi], steps)
+        draws = rng.random(out=buffer[: hi - lo])
+        state = np.full(hi - lo, x)
+        cost = np.zeros(hi - lo)
+        for k in range(steps):
+            # both coins of step k, each contiguous over the chunk
+            u_action, u_next = draws[:, k].T.copy()
+            action = _count_at_most(policy_cdf[k], state, u_action)
+            row = state * A + action
+            cost += stage_costs[k].take(row)
+            state = _count_at_most(kernel_cdf[k], row, u_next)
+        cost += problem.terminal_cost[state]
+        values[lo:hi] = np.exp(-lam * cost)
     estimate = float(values.mean())
     if num_samples == 1:
         return estimate, 0.0
@@ -228,23 +262,15 @@ def path_integral_estimate(
     return estimate, stderr
 
 
-def _sample_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample one index per row from uniforms in [0, 1)."""
-    cum = np.cumsum(rows, axis=-1)
-    idx = (cum <= u[:, None]).sum(axis=-1)
-    return np.minimum(idx, rows.shape[-1] - 1)
+def _count_at_most(cdf_columns: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample: for each row, the number of its CDF entries <= u,
+    capped at the last index.
 
-
-def _rollout_chunk(problem, lam, t, x, draws, steps):
-    n = draws.shape[0]
-    state = np.full(n, x, dtype=int)
-    cost = np.zeros(n)
-    for k in range(steps):
-        stage = t + k
-        action = _sample_rows(problem.baseline_policy.table[stage][state], draws[:, k, 0])
-        cost += problem.stage_costs[stage][state, action]
-        state = _sample_rows(
-            problem.baseline_kernels.table[stage][state, action], draws[:, k, 1]
-        )
-    cost += problem.terminal_cost[state]
-    return np.exp(-lam * cost)
+    ``cdf_columns[j, r]`` is entry j of the CDF of row r.  A CDF of
+    nonnegative entries never decreases, so the cap is the same as counting
+    all columns but the last.
+    """
+    index = np.zeros(rows.shape[0], dtype=np.intp)
+    for column in cdf_columns[:-1]:
+        index += column.take(rows) <= u
+    return index

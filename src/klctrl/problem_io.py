@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -56,9 +57,26 @@ def _scalar(name, value, types, kind):
 def _table(name, value) -> np.ndarray:
     """Float array of a JSON table, in one conversion; refuses non-numbers."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind == "O" and set(map(type, arr.ravel())) <= {int, float}:
+        # numpy holds an integer past 64 bits only as a Python object
+        raise ProblemFormatError(f"{name} holds an integer out of range (past 64 bits)")
+    if arr.dtype.kind not in "iuf" or (arr.ndim and _holds_a_bool(value, arr)):
         raise ProblemFormatError(f"{name} must hold JSON numbers only")
     return arr.astype(float, copy=False)
+
+
+def _holds_a_bool(value, arr) -> bool:
+    """Whether the nested lists ``value``, which numpy read as the numbers
+    ``arr``, hold a JSON true or false.
+
+    numpy reads a boolean among numbers as 1 or 0, so only a table with an
+    entry equal to 0 or 1 is scanned for one.
+    """
+    if not ((arr == 0) | (arr == 1)).any():
+        return False
+    for _ in range(arr.ndim - 1):
+        value = chain.from_iterable(value)
+    return bool in set(map(type, value))
 
 
 def _expand(name, value, homogeneous_shape, full_shape, time_homogeneous):

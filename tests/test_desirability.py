@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,31 @@ def test_path_integral_rejects_nonpositive_chunk_size(m1):
     for chunk in (0, -5):
         with pytest.raises(ValueError, match="chunk_size"):
             path_integral_estimate(m1, 1.0, 0, 0, num_samples=10, seed=0, chunk_size=chunk)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5, "3", None])
+def test_path_integral_refuses_a_seed_outside_the_philox_key(m1, seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        path_integral_estimate(m1, 1.0, 0, 0, num_samples=10, seed=seed)
+
+
+def test_path_integral_takes_the_largest_seed_as_a_numpy_integer(m1):
+    top = 2**64 - 1
+    as_numpy = path_integral_estimate(m1, 1.0, 0, 0, num_samples=10, seed=np.uint64(top))
+    assert as_numpy == path_integral_estimate(m1, 1.0, 0, 0, num_samples=10, seed=top)
+
+
+def test_path_integral_memory_is_bounded_by_the_chunk(rng):
+    # all draws at once would take 200000 * 40 * 2 * 8 bytes = 128 MB; the
+    # per-sample values are 1.6 MB and one chunk's draws 2.6 MB
+    problem = random_problem(rng, num_states=4, num_actions=3, horizon=40)
+    tracemalloc.start()
+    try:
+        path_integral_estimate(problem, 1.0, 0, 0, num_samples=200_000, seed=1, chunk_size=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -135,7 +135,11 @@ def test_malformed_field_types_are_format_errors(tmp_path, field):
         {"initial_distribution": ["1", "0"]},
         {"terminal_cost": [None, 0.0]},
         {"stage_costs": [[[False, False], [False, False]]]},
+        {"terminal_cost": [True, 0.5]},
+        {"stage_costs": [[[0.0, 1], [2, False]]]},
+        {"initial_distribution": [1, False]},
         {"components": [{"terminal_cost": [0, 1], "gamma": True}]},
+        {"components": [{"terminal_cost": [0.0, True], "gamma": 1.0}]},
     ],
     ids=[
         "horizon-float",
@@ -150,7 +154,11 @@ def test_malformed_field_types_are_format_errors(tmp_path, field):
         "initial_distribution-strings",
         "terminal_cost-null",
         "stage_costs-bools",
+        "terminal_cost-bool-among-floats",
+        "stage_costs-bool-among-numbers",
+        "initial_distribution-bool-among-ints",
         "gamma-bool",
+        "component-terminal_cost-bool-among-floats",
     ],
 )
 def test_fields_are_not_coerced(tmp_path, field):
@@ -161,6 +169,33 @@ def test_fields_are_not_coerced(tmp_path, field):
     path.write_text(json.dumps(doc))
     args = ["solve", "--problem", str(path), "--formulation", "soc", "--out", str(tmp_path / "o")]
     assert main(args) == 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"terminal_cost": [10**20, 0.5]},
+        {"initial_distribution": [1, -(2**63) - 1]},
+        {"stage_costs": [[[0.0, 0.0], [0.0, 2**64]]]},
+    ],
+    ids=["past-2**64", "below-int64", "2**64"],
+)
+def test_integers_past_64_bits_are_refused_as_out_of_range(tmp_path, capsys, field):
+    doc = minimal_doc() | field
+    with pytest.raises(ProblemFormatError, match="out of range"):
+        parse_problem(doc)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    args = ["solve", "--problem", str(path), "--formulation", "soc", "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_tables_with_zeros_and_ones_still_parse():
+    doc = minimal_doc() | {"terminal_cost": [1, 0.0], "stage_costs": [[[0, 1.0], [1, 0]]]}
+    problem, _ = parse_problem(doc)
+    np.testing.assert_array_equal(problem.terminal_cost, [1.0, 0.0])
+    np.testing.assert_array_equal(problem.stage_costs, [[[0.0, 1.0], [1.0, 0.0]]])
 
 
 def test_cli_mm_rsoc_without_lambda_s_exits_1(tmp_path):
@@ -182,6 +217,28 @@ def test_cli_mm_rsoc_without_lambda_s_exits_1(tmp_path):
     )
     assert proc.returncode == 1
     assert "lambda_s" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_sample_z_refuses_an_out_of_range_seed(tmp_path, seed):
+    src = str(Path(klctrl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "o.json"
+    args = [
+        "sample-z", "--problem", str(bundled_problem_path("chain5")), "--lambda", "1.0",
+        "--t", "0", "--state", "0", "--samples", "10", "--seed", seed, "--out", str(out),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "klctrl.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "seed must be an integer" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_import_needs_numpy_alone():
