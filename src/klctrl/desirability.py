@@ -21,17 +21,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .model import ControlProblem, Policy, ProblemValidationError, validate_problem
+from .model import ControlProblem, Policy, ProblemValidationError, check_weight, validate_problem
 from .risk import log_expect_exp, logsumexp
 
-
-def _require_positive_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not 0 < lam < np.inf:
-        raise ValueError(
-            "the linear/path-integral machinery requires a single finite weight lambda > 0"
-        )
-    return lam
+# largest deviation from 1 of a reweighted policy row before its
+# desirability table is called inconsistent with the problem
+POLICY_ROW_TOL = 1e-8
 
 
 def _require_valid(problem: ControlProblem):
@@ -57,7 +52,7 @@ class Desirability:
 
 
 def to_desirability(values: np.ndarray, lam: float) -> Desirability:
-    lam = _require_positive_lambda(lam)
+    lam = check_weight(lam, "lam", positive=True)
     return Desirability(-lam * np.asarray(values, dtype=float), lam)
 
 
@@ -84,13 +79,13 @@ def _backward_log(problem: ControlProblem, lam: float, log_z_terminal: np.ndarra
 
 def linear_backward(problem: ControlProblem, lam: float) -> Desirability:
     """z_T = exp(-lam c_T); z_t = E_rho[exp(-lam c_t) E_iota[z_{t+1}]]."""
-    lam = _require_positive_lambda(lam)
+    lam = check_weight(lam, "lam", positive=True)
     _require_valid(problem)
     log_z = _backward_log(problem, lam, -lam * problem.terminal_cost)
     return Desirability(log_z, lam)
 
 
-def _policy_log(problem: ControlProblem, lam: float, log_z: np.ndarray, tol: float = 1e-8) -> Policy:
+def _policy_log(problem: ControlProblem, lam: float, log_z: np.ndarray) -> Policy:
     """Reweighted baseline policy rho * r * E_iota[z'] / z, from log tables."""
     rho = problem.baseline_policy.table
     table = np.zeros_like(rho)
@@ -103,7 +98,7 @@ def _policy_log(problem: ControlProblem, lam: float, log_z: np.ndarray, tol: flo
         rows[rho[t] == 0] = 0.0
         sums = rows.sum(axis=-1)
         gap = np.max(np.abs(sums - 1.0))
-        if not gap <= tol:
+        if not gap <= POLICY_ROW_TOL:
             raise ValueError(
                 "desirability table is inconsistent with the problem: policy row "
                 f"sums deviate by {gap:.3g}"
@@ -136,10 +131,6 @@ class ComponentSet:
         object.__setattr__(self, "terminal_costs", tc)
         object.__setattr__(self, "gammas", g)
 
-    @property
-    def num_components(self) -> int:
-        return self.gammas.shape[0]
-
 
 @dataclass(frozen=True)
 class Composition:
@@ -158,7 +149,7 @@ def compose(problem: ControlProblem, components: ComponentSet, lam: float) -> Co
     The composite desirability is the sum of component tables; the mixture
     policy combines component policies with statewise weights z^(n)/z.
     """
-    lam = _require_positive_lambda(lam)
+    lam = check_weight(lam, "lam", positive=True)
     _require_valid(problem)
     if components.terminal_costs.shape[1] != problem.num_states:
         raise ValueError("component terminal costs must have one entry per state")
@@ -208,7 +199,7 @@ def path_integral_estimate(
     on (seed, num_samples).  ``seed`` must be an integer in [0, 2**64).
     Returns (estimate, standard error of the mean).
     """
-    lam = _require_positive_lambda(lam)
+    lam = check_weight(lam, "lam", positive=True)
     _require_valid(problem)
     T, S, A = problem.horizon, problem.num_states, problem.num_actions
     if not 0 <= t <= T:
@@ -258,7 +249,11 @@ def path_integral_estimate(
     estimate = float(values.mean())
     if num_samples == 1:
         return estimate, 0.0
-    stderr = float(values.std(ddof=1) / np.sqrt(num_samples))
+    # values.std(ddof=1) step by step, in place: the same operations in the
+    # same order, without the N-sized temporary of values - mean
+    values -= estimate
+    np.square(values, out=values)
+    stderr = float(np.sqrt(values.sum() / (num_samples - 1)) / np.sqrt(num_samples))
     return estimate, stderr
 
 

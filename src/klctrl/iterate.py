@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .desirability import linear_backward, policy_from_desirability
-from .model import ControlProblem, Policy
+from .model import ControlProblem, Policy, check_weight
 from .risk import tilted_rows
 from .solvers import (
     Formulation,
@@ -53,6 +53,18 @@ class IterationTrace:
     converged: bool = False
     iterations: int = 0
 
+    def record(self, surrogate, j_prev, j_next, delta_pi, delta_v, policy: Policy):
+        """Log one iteration; NonDescentError if the true objective rose past
+        DESCENT_SLACK from ``j_prev`` to ``j_next``."""
+        self.surrogate_objective.append(surrogate)
+        self.true_objective.append(j_next)
+        self.policy_delta.append(delta_pi)
+        self.value_delta.append(delta_v)
+        self.policy_iterates.append(policy.table)
+        self.iterations += 1
+        if j_next > j_prev + DESCENT_SLACK:
+            raise NonDescentError(f"objective increased from {j_prev!r} to {j_next!r}", self)
+
 
 def _floor_support(table: np.ndarray) -> np.ndarray:
     """Treat denormal-scale masses as exact zeros and renormalize rows."""
@@ -76,7 +88,6 @@ def mm_solve(
     lambda_p: float,
     tol: float,
     max_iters: int,
-    init_policy: Optional[Policy] = None,
 ):
     """Majorize-minimize loop for target 'soc' or 'rsoc'.
 
@@ -86,8 +97,7 @@ def mm_solve(
     """
     if target not in ("soc", "rsoc"):
         raise ValueError(f"unknown target {target!r}")
-    if not lambda_p > 0:
-        raise ValueError("lambda_p must be > 0")
+    lambda_p = check_weight(lambda_p, "lambda_p", positive=True)
     _require_stopping_rule(tol, max_iters)
     if target == "rsoc":
         _require_lambda_s(problem)
@@ -98,7 +108,7 @@ def mm_solve(
             return expected_cost_under(problem, policy)
         return rsoc_value(problem, policy, problem.lambda_s)
 
-    pi_k = init_policy if init_policy is not None else problem.baseline_policy
+    pi_k = problem.baseline_policy
     trace = IterationTrace()
     trace.policy_iterates.append(pi_k.table)
     j_prev = true_objective(pi_k)
@@ -114,16 +124,7 @@ def mm_solve(
         delta_v = (
             float(np.max(np.abs(solution.V - v_prev))) if v_prev is not None else None
         )
-        trace.surrogate_objective.append(initial_value(problem, solution))
-        trace.true_objective.append(j_next)
-        trace.policy_delta.append(delta_pi)
-        trace.value_delta.append(delta_v)
-        trace.policy_iterates.append(pi_next.table)
-        trace.iterations += 1
-        if j_next > j_prev + DESCENT_SLACK:
-            raise NonDescentError(
-                f"objective increased from {j_prev!r} to {j_next!r}", trace
-            )
+        trace.record(initial_value(problem, solution), j_prev, j_next, delta_pi, delta_v, pi_next)
         pi_k, j_prev, v_prev = pi_next, j_next, solution.V
         if delta_pi <= tol:
             trace.converged = True
@@ -176,7 +177,6 @@ def em_solve(
     lam: float,
     tol: float,
     max_iters: int,
-    init_policy: Optional[Policy] = None,
 ):
     """Expectation-maximization for the optimality-likelihood objective.
 
@@ -189,10 +189,9 @@ def em_solve(
     final iterate is evaluated on its own.
     Returns (Policy, trace); converged is False if max_iters ran out.
     """
-    if not lam > 0:
-        raise ValueError("the likelihood reading requires lambda > 0")
+    lam = check_weight(lam, "lam", positive=True)
     _require_stopping_rule(tol, max_iters)
-    pi_k = init_policy if init_policy is not None else problem.baseline_policy
+    pi_k = problem.baseline_policy
     trace = IterationTrace()
     trace.policy_iterates.append(pi_k.table)
     pi_next, surrogate, j_prev = _e_step(problem, pi_k, lam)
@@ -204,16 +203,7 @@ def em_solve(
         else:
             step = _e_step(problem, pi_next, lam)
             j_next = step[2]
-        trace.surrogate_objective.append(surrogate)
-        trace.true_objective.append(j_next)
-        trace.policy_delta.append(delta_pi)
-        trace.value_delta.append(abs(j_next - j_prev))
-        trace.policy_iterates.append(pi_next.table)
-        trace.iterations += 1
-        if j_next > j_prev + DESCENT_SLACK:
-            raise NonDescentError(
-                f"objective increased from {j_prev!r} to {j_next!r}", trace
-            )
+        trace.record(surrogate, j_prev, j_next, delta_pi, abs(j_next - j_prev), pi_next)
         pi_k, j_prev = pi_next, j_next
         if step is None:
             trace.converged = delta_pi <= tol

@@ -1,9 +1,10 @@
 """Tabular finite-horizon controlled Markov model.
 
 Holds the problem data (baseline policy/kernels, costs, KL weights), its
-validation, and the two table helpers shared downstream: forward state
-marginals and the rowwise KL divergence.  Trajectory-level quantities live
-in ``oracle``, which owns trajectory enumeration.
+validation, ``check_weight`` (the one test of every KL weight), and the two
+table helpers shared downstream: forward state marginals and the rowwise KL
+divergence.  Trajectory-level quantities live in ``oracle``, which owns
+trajectory enumeration.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 ROW_TOL = 1e-9
+MIN_ABS_LAMBDA = 1e-12
 
 
 class SupportViolationError(ValueError):
@@ -169,6 +171,19 @@ class ControlProblem:
         return self.baseline_kernels.is_deterministic()
 
 
+def check_weight(value, name: str, *, positive: bool) -> float:
+    """``value`` as a float if it is a usable KL weight, else ValueError: finite,
+    |value| >= MIN_ABS_LAMBDA and, where ``positive``, > 0.  Every weight, from
+    a problem file or a function argument, passes this one test."""
+    if not (np.isfinite(value) and abs(value) >= MIN_ABS_LAMBDA and (value > 0 or not positive)):
+        rule = "> 0" if positive else "nonzero"
+        raise ValueError(
+            f"{name}: must be finite and {rule} with |{name}| >= {MIN_ABS_LAMBDA}, "
+            f"got {float(value)!r}"
+        )
+    return float(value)
+
+
 def validate_problem(problem: ControlProblem) -> list:
     """Collect invariant violations; an empty list means the problem is valid.
 
@@ -193,12 +208,13 @@ def validate_problem(problem: ControlProblem) -> list:
         for idx in np.argwhere(~np.isfinite(table)):
             key = tuple(int(i) for i in idx)
             out.append(f"{name}{key}: non-finite entry")
-    if problem.lambda_p is not None and not 0 < problem.lambda_p < np.inf:
-        out.append(f"lambda_p: must be finite and > 0, got {problem.lambda_p:.12g}")
-    if problem.lambda_s is not None and not (
-        np.isfinite(problem.lambda_s) and problem.lambda_s != 0
-    ):
-        out.append(f"lambda_s: must be finite and nonzero, got {problem.lambda_s:.12g}")
+    for name, positive in (("lambda_p", True), ("lambda_s", False)):
+        value = getattr(problem, name)
+        if value is not None:
+            try:
+                check_weight(value, name, positive=positive)
+            except ValueError as exc:
+                out.append(str(exc))
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ControlProblem, Policy, TransitionKernel, kl_rows, state_marginals
+from .model import ControlProblem, Policy, TransitionKernel, check_weight, kl_rows, state_marginals
 from .risk import _coerce_lambda, entropic_risk, logsumexp
 from .solvers import Formulation, _require_valid, _weights
 
@@ -251,9 +251,7 @@ def exact_posterior(problem: ControlProblem, policy: Policy, lam) -> TrajectoryT
     The prior is the trajectory distribution of ``policy`` composed with the
     baseline kernels; lam must be positive (risk-seeking likelihood).
     """
-    lam = _coerce_lambda(lam)
-    if lam <= 0:
-        raise ValueError("the optimality likelihood requires lambda > 0")
+    lam = check_weight(_coerce_lambda(lam), "lambda", positive=True)
     prior = enumerate_trajectories(problem, policy, problem.baseline_kernels)
     return tilt_table(prior, lam)
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import kl_rows
+from .model import check_weight, kl_rows
 
-MIN_ABS_LAMBDA = 1e-12
 # A shifted sum at or above this bound loses nothing that matters to flushed
 # or subnormal terms, each below ~1e-308: their share is under 1e-58.
 UNDERFLOW_SUM = 1e-250
@@ -94,13 +93,7 @@ class RiskParam:
     lam: float
 
     def __post_init__(self):
-        if not np.isfinite(self.lam):
-            raise ValueError(f"lambda must be finite, got {self.lam!r}")
-        if abs(self.lam) < MIN_ABS_LAMBDA:
-            raise ValueError(
-                f"|lambda| must be >= {MIN_ABS_LAMBDA}; use a plain expectation "
-                "for the lambda -> 0 limit"
-            )
+        check_weight(self.lam, "lambda", positive=False)
 
     @property
     def seeking(self) -> bool:
@@ -109,8 +102,8 @@ class RiskParam:
 
 def _coerce_lambda(lam) -> float:
     if isinstance(lam, RiskParam):
-        return lam.lam
-    return RiskParam(float(lam)).lam
+        lam = lam.lam
+    return check_weight(lam, "lambda", positive=False)
 
 
 def _check_inputs(mu: np.ndarray, f: np.ndarray):

@@ -11,7 +11,10 @@ is its central case.  ``_weights`` maps a formulation to its two weights;
 ``oracle.evaluate_objective`` scores by enumeration through the same map.
 ``_evaluate`` is the matching backward evaluator for fixed decision
 variables, behind ``expected_cost_under``, ``rsoc_value``,
-``regularized_policy_value`` and ``central_policy_value``.
+``regularized_policy_value`` and ``central_policy_value``.  It keeps the
+same convention: a side without a weight is pinned, and a pinned policy step
+applies the transition step's operator (the risk when the transitions take
+it, the expectation otherwise).  Every weight passes ``model.check_weight``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .model import (
     Policy,
     ProblemValidationError,
     TransitionKernel,
+    check_weight,
     kl_rows,
     validate_problem,
 )
@@ -61,15 +65,15 @@ def _require_valid(problem: ControlProblem):
 
 
 def _require_lambda_p(problem: ControlProblem) -> float:
-    if problem.lambda_p is None or not problem.lambda_p > 0:
+    if problem.lambda_p is None:
         raise ValueError("this formulation needs lambda_p > 0")
-    return float(problem.lambda_p)
+    return check_weight(problem.lambda_p, "lambda_p", positive=True)
 
 
 def _require_lambda_s(problem: ControlProblem) -> float:
-    if problem.lambda_s is None or problem.lambda_s == 0:
+    if problem.lambda_s is None:
         raise ValueError("this formulation needs a nonzero lambda_s")
-    return float(problem.lambda_s)
+    return check_weight(problem.lambda_s, "lambda_s", positive=False)
 
 
 def _require_dirac(problem: ControlProblem):
@@ -179,20 +183,17 @@ def _evaluate(
     *,
     weight_s: Optional[float] = None,
     weight_p: Optional[float] = None,
-    risk_p: bool = False,
-    reference: Optional[Policy] = None,
 ) -> float:
     """Backward evaluation of a fixed policy (and kernel): sum_x p(x0) W_0(x0).
 
-    Transition step: with ``weight_s`` and no ``kernel``, the entropic risk of
-    W_{t+1} over the baseline kernels with weight ``weight_s`` (an unpinned
-    weighted side takes its extremum, as in ``_backward``); otherwise its
-    expectation under ``kernel`` (default: the baseline kernels), plus
-    KL(kernel || baseline) / weight_s when both are given.  Policy step:
-    with ``risk_p``, the entropic risk over ``policy`` with weight
-    ``weight_p``; otherwise the expectation under ``policy``, plus
-    KL(policy || reference) / weight_p when a weight is given (``reference``
-    defaults to the baseline policy).  O(T S^2 A), no trajectory enumeration.
+    As in ``_backward``, a side without a weight is pinned.  Transition step:
+    with ``weight_s`` and no ``kernel``, the free transitions take the risk of
+    W_{t+1} over the baseline kernels; otherwise the expectation under
+    ``kernel`` (default: the baseline kernels), plus KL(kernel || baseline) /
+    weight_s when both are given.  Policy step: with ``weight_p``, the
+    expectation under ``policy`` plus KL(policy || baseline) / weight_p; a
+    pinned policy applies the transition step's operator (the risk with
+    ``weight_s`` or the expectation).  O(T S^2 A), no trajectory enumeration.
     """
     iota = problem.baseline_kernels.table
     pi = policy.table
@@ -202,9 +203,8 @@ def _evaluate(
         kl_tau = kl_rows(kernel.table, iota, "tau") / weight_s
     tau = iota if kernel is None else kernel.table
     kl_pi = None
-    if weight_p is not None and not risk_p:
-        ref = problem.baseline_policy if reference is None else reference
-        kl_pi = kl_rows(pi, ref.table, "pi") / weight_p
+    if weight_p is not None:
+        kl_pi = kl_rows(pi, problem.baseline_policy.table, "pi") / weight_p
     W = problem.terminal_cost
     for t in reversed(range(problem.horizon)):
         if risk_s:
@@ -213,8 +213,8 @@ def _evaluate(
             q = problem.stage_costs[t] + tau[t] @ W
             if kl_tau is not None:
                 q = q + kl_tau[t]
-        if risk_p:
-            W = entropic_risk_rows(pi[t], q, weight_p)
+        if risk_s and weight_p is None:
+            W = entropic_risk_rows(pi[t], q, weight_s)
         else:
             W = (pi[t] * q).sum(axis=-1)
             if kl_pi is not None:
@@ -235,9 +235,7 @@ def rsoc_value(problem: ControlProblem, policy: Policy, lam: float) -> float:
     by every solver.  Conditional on x0 the risk of the whole trajectory cost
     nests stage by stage, over actions and transitions alike.
     """
-    if not (np.isfinite(lam) and lam != 0):
-        raise ValueError(f"rsoc_value needs a finite nonzero lambda, got {lam!r}")
-    return _evaluate(problem, policy, weight_s=lam, weight_p=lam, risk_p=True)
+    return _evaluate(problem, policy, weight_s=check_weight(lam, "lam", positive=False))
 
 
 def initial_value(problem: ControlProblem, solution: Solution) -> float:
@@ -260,10 +258,10 @@ def regularized_policy_value(
     """
     if target not in ("soc", "rsoc"):
         raise ValueError(f"unknown target {target!r}")
-    if not 0 < lambda_p < np.inf:
-        raise ValueError(f"lambda_p must be finite and > 0, got {lambda_p!r}")
+    lambda_p = check_weight(lambda_p, "lambda_p", positive=True)
     lam_s = _require_lambda_s(problem) if target == "rsoc" else None
-    return _evaluate(problem, policy, weight_s=lam_s, weight_p=lambda_p, reference=baseline)
+    problem = problem.replace(baseline_policy=baseline)
+    return _evaluate(problem, policy, weight_s=lam_s, weight_p=lambda_p)
 
 
 def central_policy_value(

@@ -32,6 +32,9 @@ from .solvers import (
     solve_formulation,
 )
 
+# random (pi*, tau*) perturbations tried by the central-no-improvement check
+NUM_PERTURBATIONS = 50
+
 
 @dataclass
 class CheckResult:
@@ -83,7 +86,6 @@ def run_checks(
     problem: ControlProblem,
     components: Optional[ComponentSet] = None,
     seed: int = 0,
-    num_perturbations: int = 50,
 ) -> List[CheckResult]:
     results: List[CheckResult] = []
     rng = np.random.default_rng(seed)
@@ -119,9 +121,7 @@ def run_checks(
         )
         gap = abs(opt - initial_value(problem, sol))
         record("central-objective-consistency", gap <= 1e-8, f"gap {gap:.3g}")
-        worst = central_no_improvement(
-            problem, sol, opt, rng, num_perturbations
-        )
+        worst = central_no_improvement(problem, sol, opt, rng, NUM_PERTURBATIONS)
         record(
             "central-no-improvement",
             worst <= 1e-9,
@@ -130,6 +130,7 @@ def run_checks(
     else:
         skip("central-bellman-residual", "lambda_p/lambda_s not set")
 
+    soc = rsoc = None
     try:
         bf_policy, bf_value = oracle.brute_force_policy_search(problem, "soc")
         soc = solve_formulation(problem, Formulation.SOC)
@@ -146,8 +147,9 @@ def run_checks(
         skip("soc-matches-policy-sweep", str(exc))
 
     if problem.has_deterministic_kernels() and problem.lambda_s is not None:
-        soc = solve_formulation(problem, Formulation.SOC)
-        rsoc = solve_formulation(problem, Formulation.RSOC)
+        # reuse the sweep's solves; a sweep past the cap made none
+        soc = soc or solve_formulation(problem, Formulation.SOC)
+        rsoc = rsoc or solve_formulation(problem, Formulation.RSOC)
         gap = float(np.max(np.abs(soc.V - rsoc.V)))
         record("deterministic-collapse", gap <= 1e-10, f"max V gap {gap:.3g}")
 

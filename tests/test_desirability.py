@@ -344,3 +344,16 @@ def test_linear_backward_with_large_costs_matches_the_log_domain(rng):
         ref = np.logaddexp.reduce(log_rho[t] - lam * costs[t] + inner, axis=-1)
         assert np.isfinite(log_z[t]).all()
         np.testing.assert_allclose(log_z[t], ref, rtol=1e-12, atol=0)
+
+
+def test_path_integral_standard_error_needs_no_second_sample_array():
+    # the per-sample values are 16 MB at N = 2e6; values.std(ddof=1) took a
+    # second 16 MB temporary for values - mean
+    problem = load_bundled_problem("chain5")[0]
+    tracemalloc.start()
+    try:
+        path_integral_estimate(problem, 1.0, 0, 0, num_samples=2_000_000, seed=1, chunk_size=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

@@ -548,3 +548,21 @@ def test_cli_cap_exit_code(tmp_path, rng):
     dump_problem(problem, path)
     code = main(["verify", "--problem", str(path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("num_states", [3, 6], ids=["sweep", "sweep-past-cap"])
+def test_verify_solves_soc_and_rsoc_once(monkeypatch, rng, num_states):
+    # a Dirac-kernel problem runs the deterministic-collapse check; at six
+    # states the policy sweep is past its cap and is skipped
+    import klctrl.verify as kv
+
+    calls = []
+    solve = kv.solve_formulation
+    monkeypatch.setattr(
+        kv, "solve_formulation", lambda p, f, **kw: calls.append(f.value) or solve(p, f, **kw)
+    )
+    problem = random_problem(rng, num_states=num_states, num_actions=3, horizon=3, dirac=True)
+    results = {r.name: r.status for r in kv.run_checks(problem)}
+    assert results["deterministic-collapse"] == "pass"
+    assert results["soc-matches-policy-sweep"] == ("pass" if num_states == 3 else "skip")
+    assert calls == ["soc", "rsoc"]
