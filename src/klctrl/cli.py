@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
-import os
 import sys
 
 from .desirability import compose, path_integral_estimate
 from .iterate import em_solve, mm_solve
 from .model import ProblemValidationError, validate_problem
 from .oracle import EnumerationCapError
-from .problem_io import ProblemFormatError, dump_problem, load_problem
+from .problem_io import dump_problem, load_problem, write_json
 from .solvers import Formulation, solve_formulation
 from .verify import run_checks
 
@@ -43,18 +41,6 @@ def _solution_payload(solution) -> dict:
         "pi": solution.pi_star.table.tolist(),
         "tau": solution.tau_star.table.tolist(),
     }
-
-
-def _write_json(path, payload) -> None:
-    """Write strict JSON: a non-finite value raises ValueError (exit code 1)
-    instead of writing NaN/Infinity, and leaves no truncated file behind."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
-    except ValueError:
-        os.remove(path)
-        raise
 
 
 def _write_solution_csv(path, solution) -> None:
@@ -99,7 +85,7 @@ def _cmd_solve(args) -> int:
     form = _FORM_FLAGS[args.formulation]
     solution = solve_formulation(problem, form, synchronized=args.sync)
     if args.format == "json":
-        _write_json(args.out, _solution_payload(solution))
+        write_json(args.out, _solution_payload(solution))
     else:
         _write_solution_csv(args.out, solution)
     return EXIT_OK
@@ -110,7 +96,7 @@ def _cmd_mm(args) -> int:
     solution, trace = mm_solve(
         problem, args.target, args.lambda_p, args.tol, args.max_iters
     )
-    _write_json(
+    write_json(
         args.out,
         {
             "target": args.target,
@@ -126,7 +112,7 @@ def _cmd_mm(args) -> int:
 def _cmd_em(args) -> int:
     problem, _ = _load(args.problem)
     policy, trace = em_solve(problem, args.lam, args.tol, args.max_iters)
-    _write_json(
+    write_json(
         args.out,
         {
             "converged": trace.converged,
@@ -149,7 +135,7 @@ def _cmd_sample_z(args) -> int:
         args.seed,
         chunk_size=args.chunk_size,
     )
-    _write_json(
+    write_json(
         args.out,
         {
             "t": args.t,
@@ -169,7 +155,7 @@ def _cmd_compose(args) -> int:
         print("problem file has no \"components\" section", file=sys.stderr)
         return EXIT_INVALID
     result = compose(problem, components, args.lam)
-    _write_json(
+    write_json(
         args.out,
         {
             "lambda": args.lam,
@@ -274,18 +260,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFormatError, ProblemValidationError, FileNotFoundError) as exc:
-        if isinstance(exc, ProblemValidationError):
-            for violation in exc.violations:
-                print(violation, file=sys.stderr)
-        else:
-            print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
     except EnumerationCapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    except (ValueError, FileNotFoundError) as exc:
+        # a ProblemValidationError carries its violations, one per line
+        for line in getattr(exc, "violations", [str(exc)]):
+            print(line, file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -17,12 +17,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .desirability import linear_backward, policy_from_desirability
+from .desirability import _backward_log, _policy_log
 from .model import ControlProblem, Policy, check_weight
 from .risk import tilted_rows
 from .solvers import (
     Formulation,
     _require_lambda_s,
+    _require_valid,
     expected_cost_under,
     initial_value,
     rsoc_value,
@@ -51,7 +52,10 @@ class IterationTrace:
     value_delta: List[Optional[float]] = field(default_factory=list)
     policy_iterates: List[np.ndarray] = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.true_objective)
 
     def record(self, surrogate, j_prev, j_next, delta_pi, delta_v, policy: Policy):
         """Log one iteration; NonDescentError if the true objective rose past
@@ -61,7 +65,6 @@ class IterationTrace:
         self.policy_delta.append(delta_pi)
         self.value_delta.append(delta_v)
         self.policy_iterates.append(policy.table)
-        self.iterations += 1
         if j_next > j_prev + DESCENT_SLACK:
             raise NonDescentError(f"objective increased from {j_prev!r} to {j_next!r}", self)
 
@@ -153,9 +156,9 @@ def _e_step(problem: ControlProblem, policy: Policy, lam: float):
     recursion.
     """
     sub = problem.replace(baseline_policy=policy)
-    d = linear_backward(sub, lam)
-    conditional = policy_from_desirability(sub, d).table
-    V = d.values()
+    log_z = _backward_log(sub, lam, -lam * problem.terminal_cost)
+    conditional = _policy_log(sub, lam, log_z).table
+    V = -log_z / lam
     iota = problem.baseline_kernels.table
     table = policy.table.copy()
     m = tilted_rows(problem.initial_distribution, V[0], lam)
@@ -186,11 +189,14 @@ def em_solve(
     objective is the exponential-utility value, which is non-increasing.
     That pass also yields the true objective of the policy it starts from,
     so each iterate's objective comes from the next E-step and only the
-    final iterate is evaluated on its own.
+    final iterate is evaluated on its own.  The problem is validated once,
+    here: an E-step's sub-problem differs only in its baseline policy, which
+    ``Policy`` checked when it was built.
     Returns (Policy, trace); converged is False if max_iters ran out.
     """
     lam = check_weight(lam, "lam", positive=True)
     _require_stopping_rule(tol, max_iters)
+    _require_valid(problem)
     pi_k = problem.baseline_policy
     trace = IterationTrace()
     trace.policy_iterates.append(pi_k.table)

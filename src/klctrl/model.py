@@ -42,16 +42,19 @@ def _as_array(x, shape, name):
 
 def _row_violations(name: str, table: np.ndarray, tol: float = ROW_TOL):
     """Rows that are not distributions: a sum off 1, a negative or a non-finite
-    entry.  A NaN or infinite entry makes its row sum fail the test too."""
-    sums = table.sum(axis=-1)
+    entry.  A NaN or infinite entry makes its row sum fail the test too.  A
+    single row (a 1-D table) is named by ``name`` alone."""
+    with np.errstate(invalid="ignore"):  # inf - inf in a row sums to NaN
+        sums = table.sum(axis=-1)
     out, negative = [], []
     for idx in np.argwhere(~(np.abs(sums - 1.0) <= tol) | (table < 0).any(axis=-1)):
         key = tuple(int(i) for i in idx)
         row = table[key]
+        label = f"{name}{key}" if key else name
         if not np.isfinite(row).all():
-            out.append(f"{name}{key}: non-finite entry")
+            out.append(f"{label}: non-finite entry")
         elif not abs(sums[key] - 1.0) <= tol:
-            out.append(f"{name}{key}: row sum {sums[key]:.12g} != 1")
+            out.append(f"{label}: row sum {sums[key]:.12g} != 1")
         for u in np.flatnonzero(row < 0):
             negative.append(f"{name}{key + (int(u),)}: negative entry {row[u]:.12g}")
     return out + negative
@@ -113,9 +116,6 @@ class TransitionKernel:
         )
         object.__setattr__(self, "table", table)
 
-    def is_deterministic(self, tol: float = ROW_TOL) -> bool:
-        return bool(np.all(np.abs(self.table.max(axis=-1) - 1.0) <= tol))
-
 
 @dataclass(frozen=True)
 class ControlProblem:
@@ -168,7 +168,8 @@ class ControlProblem:
         return dataclasses.replace(self, **kwargs)
 
     def has_deterministic_kernels(self) -> bool:
-        return self.baseline_kernels.is_deterministic()
+        """Whether every baseline kernel row is a Dirac (max entry 1 within ROW_TOL)."""
+        return bool(np.all(np.abs(self.baseline_kernels.table.max(axis=-1) - 1.0) <= ROW_TOL))
 
 
 def check_weight(value, name: str, *, positive: bool) -> float:
@@ -193,14 +194,7 @@ def validate_problem(problem: ControlProblem) -> list:
     ControlProblem holds them as Policy/TransitionKernel, which refuse bad
     rows when built and keep read-only copies.
     """
-    out = []
-    p0 = problem.initial_distribution
-    if not np.isfinite(p0).all():
-        out.append("initial_distribution: non-finite entry")
-    elif not abs(p0.sum() - 1.0) <= ROW_TOL:
-        out.append(f"initial_distribution: row sum {p0.sum():.12g} != 1")
-    for idx in np.argwhere(p0 < 0):
-        out.append(f"initial_distribution({int(idx[0])},): negative entry")
+    out = _row_violations("initial_distribution", problem.initial_distribution)
     for name, table in (
         ("stage_costs", problem.stage_costs),
         ("terminal_cost", problem.terminal_cost),

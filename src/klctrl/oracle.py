@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ControlProblem, Policy, TransitionKernel, check_weight, kl_rows, state_marginals
-from .risk import _coerce_lambda, entropic_risk, logsumexp
+from .risk import entropic_risk, logsumexp
 from .solvers import Formulation, _require_valid, _weights
 
 DEFAULT_TRAJECTORY_CAP = 10**6
@@ -138,7 +138,7 @@ def enumerate_trajectories(
 
 def tilt_table(table: TrajectoryTable, lam) -> TrajectoryTable:
     """Reweight trajectory probabilities by exp(-lam cost) and renormalize."""
-    lam = _coerce_lambda(lam)
+    lam = check_weight(lam, "lambda", positive=False)
     logw = np.log(table.probs) - lam * table.costs
     logw -= logsumexp(logw)
     return TrajectoryTable(
@@ -154,7 +154,7 @@ def tilt_table(table: TrajectoryTable, lam) -> TrajectoryTable:
 
 def exact_risk_objective(table: TrajectoryTable, lam) -> float:
     """-(1/lam) log sum_traj p(traj) exp(-lam cost(traj))."""
-    lam = _coerce_lambda(lam)
+    lam = check_weight(lam, "lambda", positive=False)
     if len(table) == 0:
         raise ValueError("empty trajectory table")
     return float(-logsumexp(np.log(table.probs) - lam * table.costs) / lam)
@@ -251,7 +251,7 @@ def exact_posterior(problem: ControlProblem, policy: Policy, lam) -> TrajectoryT
     The prior is the trajectory distribution of ``policy`` composed with the
     baseline kernels; lam must be positive (risk-seeking likelihood).
     """
-    lam = check_weight(_coerce_lambda(lam), "lambda", positive=True)
+    lam = check_weight(lam, "lambda", positive=True)
     prior = enumerate_trajectories(problem, policy, problem.baseline_kernels)
     return tilt_table(prior, lam)
 
@@ -329,9 +329,9 @@ def brute_force_policy_search(
         raise EnumerationCapError(
             f"policy sweep needs {count} policies, cap is {cap}"
         )
+    if objective == "rsoc":
+        lam = check_weight(lam, "lambda", positive=False)
     if T == 0:
-        if objective == "rsoc":
-            _coerce_lambda(lam)
         # conditional on x0 the cost is deterministic, so risk = expectation
         value = float(problem.initial_distribution @ problem.terminal_cost)
         return Policy(np.zeros((0, S, A))), value
@@ -342,6 +342,6 @@ def brute_force_policy_search(
     if objective == "soc":
         values = _policy_values_soc(problem, acts)
     else:
-        values = _policy_values_rsoc(problem, acts, _coerce_lambda(lam))
+        values = _policy_values_rsoc(problem, acts, lam)
     best = int(np.argmin(values))
     return Policy.deterministic(acts[best], A), float(values[best])

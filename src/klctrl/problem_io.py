@@ -12,6 +12,7 @@ a JSON boolean, and weights and table entries JSON numbers.
 from __future__ import annotations
 
 import json
+import os
 from importlib import resources
 from itertools import chain
 from typing import Optional, Tuple
@@ -19,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .desirability import ComponentSet
-from .model import ControlProblem, Policy, TransitionKernel
+from .model import ControlProblem, Policy, ProblemValidationError, TransitionKernel
 
 REQUIRED_KEYS = {
     "horizon",
@@ -161,7 +162,7 @@ def parse_problem(doc: dict) -> Tuple[ControlProblem, Optional[ComponentSet]]:
                 gamma = _scalar(f"components[{i}].gamma", entry["gamma"], (int, float), "number")
                 gammas.append(float(gamma))
             components = ComponentSet(np.stack(costs), np.asarray(gammas))
-    except ProblemFormatError:
+    except (ProblemFormatError, ProblemValidationError):
         raise
     except (TypeError, ValueError) as exc:
         # a ragged table or an impossible count surfaces as ValueError from
@@ -204,11 +205,21 @@ def problem_to_dict(
     return doc
 
 
+def write_json(path, payload) -> None:
+    """Write strict JSON: a non-finite value raises ValueError instead of
+    writing NaN/Infinity, and leaves no truncated file behind.  Floats are
+    written with repr, which round-trips exactly."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+    except ValueError:
+        os.remove(path)
+        raise
+
+
 def dump_problem(problem: ControlProblem, path, components=None) -> None:
-    # json serializes floats with repr, which round-trips exactly.
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(problem, components), fh, indent=2)
-        fh.write("\n")
+    write_json(path, problem_to_dict(problem, components))
 
 
 def bundled_problem_path(name: str):

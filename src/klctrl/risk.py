@@ -18,8 +18,6 @@ the function value there, and stay exact zeros in tilted rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import check_weight, kl_rows
@@ -86,26 +84,6 @@ def log_expect_exp(mu, g) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RiskParam:
-    """Nonzero risk weight; positive is risk-seeking, negative risk-averse."""
-
-    lam: float
-
-    def __post_init__(self):
-        check_weight(self.lam, "lambda", positive=False)
-
-    @property
-    def seeking(self) -> bool:
-        return self.lam > 0
-
-
-def _coerce_lambda(lam) -> float:
-    if isinstance(lam, RiskParam):
-        lam = lam.lam
-    return check_weight(lam, "lambda", positive=False)
-
-
 def _check_inputs(mu: np.ndarray, f: np.ndarray):
     if mu.shape != f.shape:
         raise ValueError("mu and f must have the same shape")
@@ -121,7 +99,7 @@ def _check_inputs(mu: np.ndarray, f: np.ndarray):
 
 def entropic_risk(mu, f, lam) -> float:
     """-(1/lam) log E_mu[exp(-lam f)], log-sum-exp stabilized."""
-    lam = _coerce_lambda(lam)
+    lam = check_weight(lam, "lambda", positive=False)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     support = _check_inputs(mu, f)
@@ -131,7 +109,7 @@ def entropic_risk(mu, f, lam) -> float:
 
 def tilted_distribution(mu, f, lam) -> np.ndarray:
     """mu exp(-lam f) normalized; the extremizer of the risk dual."""
-    lam = _coerce_lambda(lam)
+    lam = check_weight(lam, "lambda", positive=False)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     support = _check_inputs(mu, f)
@@ -149,7 +127,7 @@ def dual_certificate(mu, f, lam, candidate) -> float:
     Upper-bounds the risk value for lam > 0 and lower-bounds it for lam < 0;
     equality holds at the tilted distribution.
     """
-    lam = _coerce_lambda(lam)
+    lam = check_weight(lam, "lambda", positive=False)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     candidate = np.asarray(candidate, dtype=float)

@@ -10,6 +10,7 @@ import pytest
 
 from klctrl import (
     ProblemFormatError,
+    ProblemValidationError,
     bundled_problem_path,
     dump_problem,
     load_bundled_problem,
@@ -566,3 +567,59 @@ def test_verify_solves_soc_and_rsoc_once(monkeypatch, rng, num_states):
     assert results["deterministic-collapse"] == "pass"
     assert results["soc-matches-policy-sweep"] == ("pass" if num_states == 3 else "skip")
     assert calls == ["soc", "rsoc"]
+
+
+def test_dump_problem_refuses_a_non_finite_table(tmp_path):
+    m1, _ = load_bundled_problem("m1")
+    costs = m1.stage_costs.copy()
+    costs[0, 0, 1] = np.nan
+    path = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        dump_problem(m1.replace(stage_costs=costs), path)
+    assert not path.exists()
+
+
+BAD_KERNEL_ROWS = [
+    "tau(0, 0, 0): row sum 1.1 != 1",
+    "tau(0, 1, 1, 0): negative entry -0.5",
+]
+
+
+def _m1_file_with_two_bad_kernel_rows(tmp_path):
+    m1, _ = load_bundled_problem("m1")
+    doc = problem_to_dict(m1)
+    doc["transitions"][0][0][0] = [0.5, 0.6]
+    doc["transitions"][0][1][1] = [-0.5, 1.5]
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_bad_kernel_rows_in_a_file_keep_their_violations(tmp_path):
+    path = _m1_file_with_two_bad_kernel_rows(tmp_path)
+    with pytest.raises(ProblemValidationError) as err:
+        load_problem(path)
+    assert err.value.violations == BAD_KERNEL_ROWS
+
+
+def test_cli_prints_each_bad_kernel_row_on_its_own_line(tmp_path, capsys):
+    path = _m1_file_with_two_bad_kernel_rows(tmp_path)
+    out = tmp_path / "out.json"
+    code = main(["solve", "--problem", str(path), "--formulation", "soc", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == BAD_KERNEL_ROWS
+
+
+def test_verify_residual_sees_a_fault_in_the_solver_rows(monkeypatch, capsys):
+    import klctrl.solvers as ks
+    import klctrl.verify as kv
+    from klctrl.risk import entropic_risk_rows
+
+    def shifted(mu, f, lam):
+        return entropic_risk_rows(mu, f, lam) + 1e-6
+
+    monkeypatch.setattr(ks, "entropic_risk_rows", shifted)
+    monkeypatch.setattr(kv, "entropic_risk_rows", shifted, raising=False)
+    problem, components = load_bundled_problem("chain5")
+    results = {r.name: r for r in kv.run_checks(problem, components)}
+    assert results["central-bellman-residual"].status == "fail"

@@ -249,3 +249,20 @@ def test_verify_says_whether_mm_converged(name, detail):
     problem, components = load_bundled_problem(name)
     (check,) = [r for r in run_checks(problem, components) if r.name == "mm-descent"]
     assert (check.status, check.detail) == ("pass", detail)
+
+
+def test_em_validates_the_problem_once(monkeypatch):
+    from klctrl import desirability, model, solvers
+
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return model.validate_problem(problem)
+
+    for module in (solvers, desirability):
+        monkeypatch.setattr(module, "validate_problem", counting)
+    problem, _ = load_bundled_problem("grid4x4")
+    _, trace = em_solve(problem, lam=1.0, tol=0.0, max_iters=20)
+    assert trace.iterations == 20
+    assert len(calls) == 1

@@ -221,3 +221,8 @@ def test_log_prob_factorizes(rng):
             problem, problem.baseline_policy, problem.baseline_kernels, traj
         )
         assert np.exp(lp) == pytest.approx(np.prod(factors), rel=1e-12)
+
+
+def test_negative_initial_entry_names_its_value():
+    problem = make_m1().replace(initial_distribution=[1.5, -0.5])
+    assert validate_problem(problem) == ["initial_distribution(1,): negative entry -0.5"]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from klctrl import (
-    RiskParam,
     SupportViolationError,
     dual_certificate,
     entropic_risk,
@@ -64,13 +63,6 @@ def test_tilt_concentrates_for_large_weight():
 def test_lambda_near_zero_is_rejected():
     with pytest.raises(ValueError):
         entropic_risk([0.5, 0.5], [0.0, 1.0], 1e-13)
-    with pytest.raises(ValueError):
-        RiskParam(0.0)
-
-
-def test_risk_param_attitude():
-    assert RiskParam(2.0).seeking
-    assert not RiskParam(-2.0).seeking
 
 
 def test_empty_support_is_an_error():
