@@ -9,6 +9,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import product
+
+import numpy as np
 
 from .desirability import compose, path_integral_estimate
 from .iterate import em_solve, mm_solve
@@ -34,35 +37,35 @@ def _load(path):
 
 
 def _solution_payload(solution) -> dict:
+    """A solution's output tables, by name; the CSV writer walks them in this order."""
     return {
         "formulation": solution.formulation.value,
-        "V": solution.V.tolist(),
-        "Q": solution.Q.tolist(),
-        "pi": solution.pi_star.table.tolist(),
-        "tau": solution.tau_star.table.tolist(),
+        "V": solution.V,
+        "Q": solution.Q,
+        "pi": solution.pi_star.table,
+        "tau": solution.tau_star.table,
     }
 
 
-def _write_solution_csv(path, solution) -> None:
+def _write_solution_csv(path, payload) -> None:
+    """Write a solution payload as CSV: a formulation line, a header line, then
+    one row per table entry, table by table (V, Q, pi, tau), stage by stage.
+    Each row is padded to the four index columns t, x, u, x_next; values are
+    written with repr, which round-trips exactly.  A non-finite entry raises
+    ValueError before the file is opened, as in ``write_json``."""
+    tables = {name: table for name, table in payload.items() if name != "formulation"}
+    for name, table in tables.items():
+        if not np.isfinite(table).all():
+            raise ValueError(f"{name} holds a non-finite value, which CSV output refuses")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["formulation", solution.formulation.value, "", "", "", ""])
+        writer.writerow(["formulation", payload["formulation"], "", "", "", ""])
         writer.writerow(["table", "t", "x", "u", "x_next", "value"])
-        for t in range(solution.V.shape[0]):
-            for x in range(solution.V.shape[1]):
-                writer.writerow(["V", t, x, "", "", repr(float(solution.V[t, x]))])
-        T, S, A = solution.Q.shape
-        for t in range(T):
-            for x in range(S):
-                for u in range(A):
-                    writer.writerow(["Q", t, x, u, "", repr(float(solution.Q[t, x, u]))])
-                    writer.writerow(
-                        ["pi", t, x, u, "", repr(float(solution.pi_star.table[t, x, u]))]
-                    )
-                    for y in range(S):
-                        writer.writerow(
-                            ["tau", t, x, u, y, repr(float(solution.tau_star.table[t, x, u, y]))]
-                        )
+        for name, table in tables.items():
+            pad = [[""]] * (4 - table.ndim)
+            for t, stage in enumerate(table):
+                index = product([name], [t], *map(range, stage.shape), *pad)
+                writer.writerows(i + (v,) for i, v in zip(index, stage.ravel().tolist()))
 
 
 def _trace_payload(trace) -> list:
@@ -78,54 +81,37 @@ def _trace_payload(trace) -> list:
     ]
 
 
-def _cmd_solve(args) -> int:
-    problem, _ = _load(args.problem)
+def _cmd_solve(args, problem, components) -> dict:
     if args.dump_problem:
         dump_problem(problem, args.dump_problem)
     form = _FORM_FLAGS[args.formulation]
-    solution = solve_formulation(problem, form, synchronized=args.sync)
-    if args.format == "json":
-        write_json(args.out, _solution_payload(solution))
-    else:
-        _write_solution_csv(args.out, solution)
-    return EXIT_OK
+    return _solution_payload(solve_formulation(problem, form, synchronized=args.sync))
 
 
-def _cmd_mm(args) -> int:
-    problem, _ = _load(args.problem)
+def _cmd_mm(args, problem, components) -> dict:
     solution, trace = mm_solve(
         problem, args.target, args.lambda_p, args.tol, args.max_iters
     )
-    write_json(
-        args.out,
-        {
-            "target": args.target,
-            "converged": trace.converged,
-            "iterations": trace.iterations,
-            "solution": _solution_payload(solution),
-            "trace": _trace_payload(trace),
-        },
-    )
-    return EXIT_OK
+    return {
+        "target": args.target,
+        "converged": trace.converged,
+        "iterations": trace.iterations,
+        "solution": _solution_payload(solution),
+        "trace": _trace_payload(trace),
+    }
 
 
-def _cmd_em(args) -> int:
-    problem, _ = _load(args.problem)
+def _cmd_em(args, problem, components) -> dict:
     policy, trace = em_solve(problem, args.lam, args.tol, args.max_iters)
-    write_json(
-        args.out,
-        {
-            "converged": trace.converged,
-            "iterations": trace.iterations,
-            "pi": policy.table.tolist(),
-            "trace": _trace_payload(trace),
-        },
-    )
-    return EXIT_OK
+    return {
+        "converged": trace.converged,
+        "iterations": trace.iterations,
+        "pi": policy.table,
+        "trace": _trace_payload(trace),
+    }
 
 
-def _cmd_sample_z(args) -> int:
-    problem, _ = _load(args.problem)
+def _cmd_sample_z(args, problem, components) -> dict:
     estimate, stderr = path_integral_estimate(
         problem,
         args.lam,
@@ -135,37 +121,27 @@ def _cmd_sample_z(args) -> int:
         args.seed,
         chunk_size=args.chunk_size,
     )
-    write_json(
-        args.out,
-        {
-            "t": args.t,
-            "state": args.state,
-            "samples": args.samples,
-            "seed": args.seed,
-            "estimate": estimate,
-            "standard_error": stderr,
-        },
-    )
-    return EXIT_OK
+    return {
+        "t": args.t,
+        "state": args.state,
+        "samples": args.samples,
+        "seed": args.seed,
+        "estimate": estimate,
+        "standard_error": stderr,
+    }
 
 
-def _cmd_compose(args) -> int:
-    problem, components = _load(args.problem)
+def _cmd_compose(args, problem, components) -> dict:
     if components is None:
-        print("problem file has no \"components\" section", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("problem file has no \"components\" section")
     result = compose(problem, components, args.lam)
-    write_json(
-        args.out,
-        {
-            "lambda": args.lam,
-            "z": result.composite.z.tolist(),
-            "weights": result.weights.tolist(),
-            "component_policies": [p.table.tolist() for p in result.component_policies],
-            "mixture_policy": result.mixture_policy.table.tolist(),
-        },
-    )
-    return EXIT_OK
+    return {
+        "lambda": args.lam,
+        "z": result.composite.z,
+        "weights": result.weights,
+        "component_policies": [p.table for p in result.component_policies],
+        "mixture_policy": result.mixture_policy.table,
+    }
 
 
 def _cmd_verify(args) -> int:
@@ -251,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="oracle cross-check suite on one instance")
     verify.add_argument("--problem", required=True)
     verify.add_argument("--seed", type=int, default=0)
-    verify.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -259,7 +234,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        payload = args.func(args, *_load(args.problem))
+        write = _write_solution_csv if getattr(args, "format", None) == "csv" else write_json
+        write(args.out, payload)
+        return EXIT_OK
     except EnumerationCapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP

@@ -40,20 +40,20 @@ def _as_array(x, shape, name):
     return arr
 
 
-def _row_violations(name: str, table: np.ndarray, tol: float = ROW_TOL):
+def _row_violations(name: str, table: np.ndarray):
     """Rows that are not distributions: a sum off 1, a negative or a non-finite
     entry.  A NaN or infinite entry makes its row sum fail the test too.  A
     single row (a 1-D table) is named by ``name`` alone."""
     with np.errstate(invalid="ignore"):  # inf - inf in a row sums to NaN
         sums = table.sum(axis=-1)
     out, negative = [], []
-    for idx in np.argwhere(~(np.abs(sums - 1.0) <= tol) | (table < 0).any(axis=-1)):
+    for idx in np.argwhere(~(np.abs(sums - 1.0) <= ROW_TOL) | (table < 0).any(axis=-1)):
         key = tuple(int(i) for i in idx)
         row = table[key]
         label = f"{name}{key}" if key else name
         if not np.isfinite(row).all():
             out.append(f"{label}: non-finite entry")
-        elif not abs(sums[key] - 1.0) <= tol:
+        elif not abs(sums[key] - 1.0) <= ROW_TOL:
             out.append(f"{label}: row sum {sums[key]:.12g} != 1")
         for u in np.flatnonzero(row < 0):
             negative.append(f"{name}{key + (int(u),)}: negative entry {row[u]:.12g}")

@@ -12,7 +12,6 @@ a JSON boolean, and weights and table entries JSON numbers.
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
 from itertools import chain
 from typing import Optional, Tuple
@@ -89,7 +88,7 @@ def _expand(name, value, homogeneous_shape, full_shape, time_homogeneous):
             raise ProblemFormatError(
                 f"{name} is stage-free but \"time_homogeneous\" is not set"
             )
-        return np.broadcast_to(arr, full_shape).copy()
+        return np.broadcast_to(arr, full_shape)
     raise ProblemFormatError(
         f"{name} has shape {arr.shape}; expected {full_shape} or {homogeneous_shape}"
     )
@@ -206,16 +205,13 @@ def problem_to_dict(
 
 
 def write_json(path, payload) -> None:
-    """Write strict JSON: a non-finite value raises ValueError instead of
-    writing NaN/Infinity, and leaves no truncated file behind.  Floats are
-    written with repr, which round-trips exactly."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
-    except ValueError:
-        os.remove(path)
-        raise
+    """Write ``payload`` as compact strict JSON; numpy arrays are written as
+    nested lists.  The whole document is encoded before the file is opened,
+    so a non-finite value raises ValueError and leaves any file at ``path``
+    as it was.  Floats are written with repr, which round-trips exactly."""
+    text = json.dumps(payload, allow_nan=False, default=np.ndarray.tolist)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def dump_problem(problem: ControlProblem, path, components=None) -> None:

@@ -45,20 +45,20 @@ class CheckResult:
     detail: str = ""
 
 
-def _perturb_rows(table: np.ndarray, rng, scale: float) -> np.ndarray:
-    out = table * np.exp(scale * rng.standard_normal(table.shape))
+def _perturb_rows(table: np.ndarray, rng) -> np.ndarray:
+    out = table * np.exp(0.3 * rng.standard_normal(table.shape))
     out = np.where(table > 0, out, 0.0)
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def perturb_policy(policy: Policy, rng, scale: float = 0.3) -> Policy:
+def perturb_policy(policy: Policy, rng) -> Policy:
     """Random support-preserving multiplicative perturbation of each row."""
-    return Policy(_perturb_rows(policy.table, rng, scale))
+    return Policy(_perturb_rows(policy.table, rng))
 
 
-def perturb_kernel(kernel: TransitionKernel, rng, scale: float = 0.3) -> TransitionKernel:
+def perturb_kernel(kernel: TransitionKernel, rng) -> TransitionKernel:
     """Random support-preserving multiplicative perturbation of each row."""
-    return TransitionKernel(_perturb_rows(kernel.table, rng, scale))
+    return TransitionKernel(_perturb_rows(kernel.table, rng))
 
 
 def central_no_improvement(problem, sol, opt, rng, num_perturbations) -> float:

@@ -39,13 +39,20 @@ def test_traced_workload_wraps_and_restores_its_names(monkeypatch, name):
         assert getattr(module, attr) is original
 
 
-def test_traced_cli_child_writes_every_span(tmp_path):
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["solve", "--formulation", "central", "--format", "csv"]],
+    ids=["verify", "solve-csv"],
+)
+def test_traced_cli_child_writes_every_span(tmp_path, command):
     spans_path = tmp_path / "spans.json"
     problem = ROOT / "src" / "klctrl" / "problems" / "m1.json"
+    argv = command + ["--problem", str(problem)]
+    if command[0] == "solve":
+        argv += ["--out", str(tmp_path / "sol.csv")]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "cli_child.py"), str(spans_path),
-         "verify", "--problem", str(problem)],
+        [sys.executable, str(PERFBENCH / "cli_child.py"), str(spans_path), *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

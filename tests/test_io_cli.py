@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from klctrl import (
     load_problem,
 )
 from klctrl.cli import main
-from klctrl.problem_io import parse_problem, problem_to_dict
+from klctrl.problem_io import parse_problem, problem_to_dict, write_json
 
 from conftest import random_problem
 
@@ -321,23 +322,58 @@ def test_cli_soc_and_rsoc_agree_on_deterministic_dynamics(tmp_path):
     assert outputs["soc"] == outputs["rsoc"]
 
 
+def _solution_tables_from_csv(path, like):
+    """The V, Q, pi and tau tables of a CSV solution, shaped as ``like``, and
+    its number of lines."""
+    tables = {name: np.full(np.shape(like[name]), np.nan) for name in ("V", "Q", "pi", "tau")}
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[:2] == [
+        ["formulation", like["formulation"], "", "", "", ""],
+        ["table", "t", "x", "u", "x_next", "value"],
+    ]
+    for name, *index, value in rows[2:]:
+        tables[name][tuple(int(i) for i in index if i)] = float(value)
+    return tables, len(rows)
+
+
 def test_cli_solve_csv_has_full_precision(tmp_path):
-    csv_out = tmp_path / "sol.csv"
-    json_out = tmp_path / "sol.json"
-    for out, fmt in ((csv_out, "csv"), (json_out, "json")):
-        assert main(
-            [
-                "solve",
-                "--problem", str(bundled_problem_path("m1")),
-                "--formulation", "central",
-                "--out", str(out),
-                "--format", fmt,
-            ]
-        ) == 0
-    rows = [line.split(",") for line in csv_out.read_text().splitlines()]
-    v00 = next(r for r in rows if r[:3] == ["V", "0", "0"])
-    # bit-for-bit identical to the JSON output of the same solve
-    assert float(v00[-1]) == json.loads(json_out.read_text())["V"][0][0]
+    # every CSV entry is bit-for-bit the JSON output of the same solve
+    for name, form in (("grid4x4", "central"), ("chain5", "soc")):
+        outputs = {}
+        for fmt in ("json", "csv"):
+            outputs[fmt] = tmp_path / f"{name}.{fmt}"
+            assert main(
+                [
+                    "solve",
+                    "--problem", str(bundled_problem_path(name)),
+                    "--formulation", form,
+                    "--out", str(outputs[fmt]),
+                    "--format", fmt,
+                ]
+            ) == 0
+        payload = json.loads(outputs["json"].read_text())
+        tables, num_rows = _solution_tables_from_csv(outputs["csv"], payload)
+        assert num_rows == 2 + sum(table.size for table in tables.values())
+        for key, table in tables.items():
+            assert table.tobytes() == np.asarray(payload[key], dtype=float).tobytes(), key
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_csv_refuses_a_non_finite_value_as_json_does(tmp_path):
+    # each cost passes validation, but their sums overflow to inf
+    m1, _ = load_bundled_problem("m1")
+    huge = m1.replace(
+        stage_costs=np.full(m1.stage_costs.shape, 1.5e308),
+        terminal_cost=np.full(m1.terminal_cost.shape, 1.5e308),
+    )
+    path = tmp_path / "huge.json"
+    dump_problem(huge, path)
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"sol.{fmt}"
+        args = ["solve", "--problem", str(path), "--formulation", "soc", "--format", fmt]
+        assert main(args + ["--out", str(out)]) == 1
+        assert not out.exists()
 
 
 def test_cli_dump_problem_round_trips(tmp_path):
@@ -577,6 +613,15 @@ def test_dump_problem_refuses_a_non_finite_table(tmp_path):
     with pytest.raises(ValueError):
         dump_problem(m1.replace(stage_costs=costs), path)
     assert not path.exists()
+
+
+def test_a_refused_write_leaves_an_existing_file_as_it_was(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"x": 1.0})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_json(path, {"x": float("nan")})
+    assert path.read_bytes() == before
 
 
 BAD_KERNEL_ROWS = [
