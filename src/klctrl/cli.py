@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation/format failure (details on stderr),
-2 enumeration cap exceeded.
+Exit codes: 0 success, 1 validation/format failure or an output path that
+cannot be written (details on stderr), 2 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ def _trace_payload(trace) -> list:
 
 
 def _cmd_solve(args, problem, components) -> dict:
-    if args.dump_problem:
-        dump_problem(problem, args.dump_problem)
     form = _FORM_FLAGS[args.formulation]
     return _solution_payload(solve_formulation(problem, form, synchronized=args.sync))
 
@@ -236,14 +234,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        payload = args.func(args, *_load(args.problem))
+        problem, components = _load(args.problem)
+        payload = args.func(args, problem, components)
         write = _write_solution_csv if getattr(args, "format", None) == "csv" else write_json
         write(args.out, payload)
+        # after the solution is written, so a refused solve or write leaves no dump
+        if getattr(args, "dump_problem", None):
+            dump_problem(problem, args.dump_problem)
         return EXIT_OK
     except EnumerationCapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         # a ProblemValidationError carries its violations, one per line
         for line in getattr(exc, "violations", [str(exc)]):
             print(line, file=sys.stderr)

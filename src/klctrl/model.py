@@ -46,8 +46,11 @@ def _row_violations(name: str, table: np.ndarray):
     single row (a 1-D table) is named by ``name`` alone."""
     with np.errstate(invalid="ignore"):  # inf - inf in a row sums to NaN
         sums = table.sum(axis=-1)
+    bad = ~(np.abs(sums - 1.0) <= ROW_TOL) | (table < 0).any(axis=-1)
+    if not bad.any():
+        return []
     out, negative = [], []
-    for idx in np.argwhere(~(np.abs(sums - 1.0) <= ROW_TOL) | (table < 0).any(axis=-1)):
+    for idx in np.argwhere(bad):
         key = tuple(int(i) for i in idx)
         row = table[key]
         label = f"{name}{key}" if key else name
@@ -199,7 +202,10 @@ def validate_problem(problem: ControlProblem) -> list:
         ("stage_costs", problem.stage_costs),
         ("terminal_cost", problem.terminal_cost),
     ):
-        for idx in np.argwhere(~np.isfinite(table)):
+        finite = np.isfinite(table)
+        if finite.all():
+            continue
+        for idx in np.argwhere(~finite):
             key = tuple(int(i) for i in idx)
             out.append(f"{name}{key}: non-finite entry")
     for name, positive in (("lambda_p", True), ("lambda_s", False)):

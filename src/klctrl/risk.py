@@ -1,7 +1,8 @@
 """Entropic risk operator, its tilted-distribution dual and certificates.
 
-The row operators behind every backward pass, ``entropic_risk_rows`` and
-``tilted_rows``, run in probability space through ``log_expect_exp``:
+The row operators behind every backward pass, ``entropic_risk_rows``,
+``tilted_rows`` and ``risk_and_tilted_rows`` (both from one exponentiation,
+for the soft action step), run in probability space:
 
 - When the rows share one value vector (a kernel table against V_{t+1}), the
   vector is shifted by its maximum and the sum is one BLAS matrix-vector
@@ -14,6 +15,10 @@ whose shifted sum falls below ``UNDERFLOW_SUM`` may have lost terms to
 underflow, and only those rows are redone in the log domain with
 ``logsumexp``.  Entries with zero base probability are ignored regardless of
 the function value there, and stay exact zeros in tilted rows.
+
+No backward pass stores the tilted kernel tau* as a table: ``solvers.Solution``
+builds it on first access from (iota, V, lambda_s) with ``tilted_rows``, and
+with the transitions pinned it is the baseline kernel object itself.
 """
 
 from __future__ import annotations
@@ -144,16 +149,26 @@ def entropic_risk_rows(mu: np.ndarray, f: np.ndarray, lam: float) -> np.ndarray:
     return -log_expect_exp(mu, -lam * np.asarray(f, dtype=float)) / lam
 
 
-def tilted_rows(mu: np.ndarray, f: np.ndarray, lam: float) -> np.ndarray:
-    """Each row of ``mu`` tilted by exp(-lam f) and normalized; exact zeros stay."""
+def risk_and_tilted_rows(mu: np.ndarray, f: np.ndarray, lam: float):
+    """(``entropic_risk_rows(mu, f, lam)``, ``tilted_rows(mu, f, lam)``) from one
+    shift: the exponentials of the table are taken once and serve both."""
     mu = np.asarray(mu, dtype=float)
     g = -lam * np.asarray(f, dtype=float)
-    e, s, _ = _shifted(mu, g)
+    e, s, shift = _shifted(mu, g)
+    with np.errstate(divide="ignore"):
+        log_s = np.asarray(np.log(s) + shift)
     out = mu * e
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= s[..., None]
     low = s < UNDERFLOW_SUM
     if low.any():
         w = _log_terms(mu, g, low)
-        out[low] = np.exp(w - logsumexp(w, keepdims=True))
-    return out
+        lse = logsumexp(w, keepdims=True)
+        log_s[low] = lse[..., 0]
+        out[low] = np.exp(w - lse)
+    return -log_s / lam, out
+
+
+def tilted_rows(mu: np.ndarray, f: np.ndarray, lam: float) -> np.ndarray:
+    """Each row of ``mu`` tilted by exp(-lam f) and normalized; exact zeros stay."""
+    return risk_and_tilted_rows(mu, f, lam)[1]

@@ -5,7 +5,10 @@ over transitions with weight lambda_s, risk over actions with weight
 lambda_p).  Every formulation is that recursion with some sides pinned, and
 a pinned side is one without a weight: its step is the plain expectation over
 the baseline kernels (tau* is then the baseline kernel object itself) or the
-hard minimum over actions (a greedy pi*).  ``solve_formulation`` validates
+hard minimum over actions (a greedy pi*).  The pass stores no (T, S, A, S)
+table: tau*_t(. | x, u) is proportional to iota_t(. | x, u) exp(-lambda_s
+V_{t+1}), so ``Solution.tau_star`` builds it on first access from (iota, V,
+lambda_s).  ``solve_formulation`` validates
 the problem once, picks the two weights and runs the pass; ``solve_central``
 is its central case.  ``_weights`` maps a formulation to its two weights;
 ``oracle.evaluate_objective`` scores by enumeration through the same map.
@@ -20,6 +23,7 @@ it, the expectation otherwise).  Every weight passes ``model.check_weight``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +38,7 @@ from .model import (
     kl_rows,
     validate_problem,
 )
-from .risk import entropic_risk_rows, tilted_rows
+from .risk import entropic_risk_rows, risk_and_tilted_rows, tilted_rows
 
 
 class Formulation(str, enum.Enum):
@@ -49,13 +53,32 @@ class Formulation(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Solution:
-    """Backward-pass output: values, action values and the optimal tables."""
+    """Backward-pass output: values, action values and the optimal tables.
+
+    ``tau_star`` is built on first access, from the baseline ``kernels``, V and
+    ``weight_s``, and then kept.  With the transitions pinned (``weight_s``
+    None) it is the baseline kernel object itself.
+    """
 
     formulation: Formulation
     V: np.ndarray  # (T+1, S)
     Q: np.ndarray  # (T, S, A)
     pi_star: Policy
-    tau_star: TransitionKernel
+    kernels: TransitionKernel  # the baseline iota
+    weight_s: Optional[float]
+
+    @functools.cached_property
+    def tau_star(self) -> TransitionKernel:
+        """tau*_t = iota_t tilted by exp(-weight_s V_{t+1}), checked by
+        ``TransitionKernel``.  The stage cost is constant along x', so tilting
+        by c + V equals tilting by V alone."""
+        if self.weight_s is None:
+            return self.kernels
+        iota = self.kernels.table
+        tau = np.empty_like(iota)
+        for t in range(len(iota)):
+            tau[t] = tilted_rows(iota[t], self.V[t + 1], self.weight_s)
+        return TransitionKernel(tau)
 
 
 def _require_valid(problem: ControlProblem):
@@ -121,6 +144,7 @@ def _backward(
     expectation over the baseline kernels in the Q step, and tau* is the
     baseline kernel object itself.  weight_p None takes the hard minimum over
     actions, and pi* is greedy, with ties going to the lowest action index.
+    tau* is not built here; ``Solution.tau_star`` builds it when it is read.
     """
     T, S, A = problem.horizon, problem.num_states, problem.num_actions
     iota = problem.baseline_kernels.table
@@ -129,7 +153,6 @@ def _backward(
     V[T] = problem.terminal_cost
     Q = np.empty((T, S, A))
     pi = None if weight_p is None else np.empty_like(Q)
-    tau = None if weight_s is None else np.empty_like(iota)
     for t in reversed(range(T)):
         if weight_s is None:
             # einsum, not `@`: the matmul sums in another order, which splits
@@ -138,17 +161,12 @@ def _backward(
             Q[t] = problem.stage_costs[t] + np.einsum("xuy,y->xu", iota[t], V[t + 1])
         else:
             Q[t] = problem.stage_costs[t] + entropic_risk_rows(iota[t], V[t + 1], weight_s)
-            # The stage cost is constant along x', so tilting by c + V equals
-            # tilting by V alone.
-            tau[t] = tilted_rows(iota[t], V[t + 1], weight_s)
         if weight_p is None:
             V[t] = Q[t].min(axis=-1)
         else:
-            V[t] = entropic_risk_rows(rho[t], Q[t], weight_p)
-            pi[t] = tilted_rows(rho[t], Q[t], weight_p)
+            V[t], pi[t] = risk_and_tilted_rows(rho[t], Q[t], weight_p)
     pi_star = Policy.deterministic(Q.argmin(axis=-1), A) if pi is None else Policy(pi)
-    tau_star = problem.baseline_kernels if tau is None else TransitionKernel(tau)
-    return Solution(form, V, Q, pi_star, tau_star)
+    return Solution(form, V, Q, pi_star, problem.baseline_kernels, weight_s)
 
 
 def solve_central(problem: ControlProblem) -> Solution:

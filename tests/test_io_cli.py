@@ -668,3 +668,29 @@ def test_verify_residual_sees_a_fault_in_the_solver_rows(monkeypatch, capsys):
     problem, components = load_bundled_problem("chain5")
     results = {r.name: r for r in kv.run_checks(problem, components)}
     assert results["central-bellman-residual"].status == "fail"
+
+
+def test_cli_reports_an_out_path_that_is_a_directory(tmp_path, capsys):
+    args = ["solve", "--problem", str(bundled_problem_path("m1")), "--formulation", "soc"]
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Is a directory" in err[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_refused_solution_write_leaves_no_dumped_problem(tmp_path, capsys):
+    # each cost passes validation, but their sums overflow to inf
+    m1, _ = load_bundled_problem("m1")
+    huge = m1.replace(
+        stage_costs=np.full(m1.stage_costs.shape, 1.5e308),
+        terminal_cost=np.full(m1.terminal_cost.shape, 1.5e308),
+    )
+    path = tmp_path / "huge.json"
+    dump_problem(huge, path)
+    dumped, out = tmp_path / "dumped.json", tmp_path / "sol.csv"
+    args = ["solve", "--problem", str(path), "--formulation", "soc", "--format", "csv"]
+    assert main(args + ["--out", str(out), "--dump-problem", str(dumped)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "V holds a non-finite value, which CSV output refuses"
+    ]
+    assert not dumped.exists() and not out.exists()

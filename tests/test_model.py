@@ -13,7 +13,7 @@ from klctrl import (
     trajectory_log_prob,
     validate_problem,
 )
-from klctrl.model import ProblemValidationError, cost_warnings
+from klctrl.model import ProblemValidationError, _row_violations, cost_warnings
 from klctrl.solvers import solve_central
 
 from conftest import make_m1, random_problem
@@ -226,3 +226,22 @@ def test_log_prob_factorizes(rng):
 def test_negative_initial_entry_names_its_value():
     problem = make_m1().replace(initial_distribution=[1.5, -0.5])
     assert validate_problem(problem) == ["initial_distribution(1,): negative entry -0.5"]
+
+
+def test_row_and_cost_violation_messages():
+    table = np.full((2, 3, 2), 0.5)
+    assert _row_violations("pi", table) == []
+    table[1, 2] = [0.6, 0.6]
+    assert _row_violations("pi", table) == ["pi(1, 2): row sum 1.2 != 1"]
+    table[1, 2] = [1.5, -0.5]
+    assert _row_violations("pi", table) == ["pi(1, 2, 1): negative entry -0.5"]
+    assert _row_violations("initial_distribution", np.array([0.5, 0.6])) == [
+        "initial_distribution: row sum 1.1 != 1"
+    ]
+    problem = make_m1()
+    assert validate_problem(problem) == []
+    costs = problem.stage_costs.copy()
+    costs[0, 0, 1] = np.nan
+    assert validate_problem(problem.replace(stage_costs=costs)) == [
+        "stage_costs(0, 0, 1): non-finite entry"
+    ]

@@ -7,7 +7,7 @@ from klctrl import (
     entropic_risk,
     tilted_distribution,
 )
-from klctrl.risk import UNDERFLOW_SUM, entropic_risk_rows, tilted_rows
+from klctrl.risk import UNDERFLOW_SUM, entropic_risk_rows, risk_and_tilted_rows, tilted_rows
 
 
 def _log_domain_rows(mu, g):
@@ -180,3 +180,39 @@ def test_rows_whose_shifted_sum_underflows_match_the_log_domain(rng, lam):
         entropic_risk_rows(weights, rows, lam), -lse / lam, rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(tilted_rows(weights, rows, lam), tilt, rtol=0, atol=1e-12)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.5, -0.7, 700.0, -700.0])
+def test_risk_and_tilted_rows_is_bitwise_the_two_row_operators(rng, lam):
+    S, A = 12, 3
+    # As above: at |lam| = 700 the rows without state 0 (shared vector) and
+    # the rows whose maximizing action has mass 1e-300 (one value row per
+    # row) underflow and take the log-domain redo.
+    f = np.sign(lam) * rng.uniform(1.0, 1.5, size=S)
+    f[0] = 0.0
+    mu = rng.random((S, A, S)) * (rng.random((S, A, S)) < 0.4)
+    mu[..., 1] += 0.1
+    mu[: S // 2, :, 0] = 0.0
+    mu[S // 2 :, :, 0] += 0.1
+    mu /= mu.sum(axis=-1, keepdims=True)
+    rows = np.tile(f[1:A + 1], (S, 1))
+    rows[:, 0] = 0.0
+    weights = rng.dirichlet(np.ones(A), size=S)
+    weights[: S // 2, 0] = 1e-300
+    weights[S // 2 :, 2] = 0.0
+    weights /= weights.sum(axis=-1, keepdims=True)
+    if abs(lam) >= 700:
+        g = -lam * f
+        assert (mu @ np.exp(g - g.max()) < UNDERFLOW_SUM).any()
+        h = np.where(weights > 0, -lam * rows, -np.inf)
+        h = np.exp(h - h.max(axis=-1, keepdims=True))
+        assert ((weights * h).sum(axis=-1) < UNDERFLOW_SUM).any()
+    for base, values in ((mu, f), (weights, rows), (mu[0, 0], f)):
+        risk, tilt = risk_and_tilted_rows(base, values, lam)
+        assert _same_bits(risk, entropic_risk_rows(base, values, lam))
+        assert _same_bits(tilt, tilted_rows(base, values, lam))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from klctrl import (
     solve_central,
     solve_formulation,
 )
-from klctrl.risk import entropic_risk_rows
+from klctrl.risk import entropic_risk_rows, tilted_rows
 from klctrl.solvers import expected_cost_under, regularized_policy_value, rsoc_value
 from klctrl.verify import central_no_improvement, perturb_kernel, perturb_policy
 
@@ -291,3 +293,38 @@ def test_exact_zeros_of_the_baseline_stay_exact_zeros(rng, lam_s):
     if lam_s > 0:
         pi = policy_from_desirability(problem, linear_backward(problem, lam_s))
         assert np.all(pi.table[rho == 0] == 0.0)
+
+
+@pytest.mark.parametrize("form", ["central", "rsoc", "sp_rsoc"])
+def test_tau_star_is_built_on_first_access_and_kept(rng, form):
+    sol = solve_formulation(random_problem(rng, lambda_s=0.5), form)
+    assert "tau_star" not in vars(sol)
+    assert sol.tau_star is sol.tau_star
+
+
+@pytest.mark.parametrize("lam_s", [0.5, -0.7, 700.0, -700.0])
+@pytest.mark.parametrize("form", ["central", "rsoc", "sp_rsoc"])
+def test_tau_star_is_bitwise_the_per_stage_tilted_rows(rng, form, lam_s):
+    problem = sparse_problem(rng, 9, 3, 4, lambda_s=lam_s)
+    sol = solve_formulation(problem, form)
+    iota = problem.baseline_kernels.table
+    expected = np.empty_like(iota)
+    for t in range(problem.horizon):
+        expected[t] = tilted_rows(iota[t], sol.V[t + 1], lam_s)
+    assert isinstance(sol.tau_star, TransitionKernel)
+    assert sol.tau_star.table.tobytes() == expected.tobytes()
+
+
+def test_solve_central_allocates_no_transition_sized_table(rng):
+    # tau* is built when it is read, so the pass itself stays below the size
+    # of one (T, S, A, S) table
+    problem = random_problem(
+        rng, num_states=60, num_actions=6, horizon=20, lambda_p=1.0, lambda_s=0.5
+    )
+    tracemalloc.start()
+    try:
+        solve_central(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < problem.baseline_kernels.table.nbytes
