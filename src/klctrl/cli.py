@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--sync",
         action="store_true",
-        help="use the synchronized policy weight |lambda_s| for sp-rsoc",
+        help="sp-rsoc only: use the synchronized policy weight |lambda_s|",
     )
     solve.add_argument("--out", required=True)
     solve.add_argument("--format", choices=["json", "csv"], default="json")

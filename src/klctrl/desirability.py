@@ -88,7 +88,7 @@ def linear_backward(problem: ControlProblem, lam: float) -> Desirability:
 def _policy_log(problem: ControlProblem, lam: float, log_z: np.ndarray) -> Policy:
     """Reweighted baseline policy rho * r * E_iota[z'] / z, from log tables."""
     rho = problem.baseline_policy.table
-    table = np.zeros_like(rho)
+    table = np.zeros(rho.shape)
     for t in range(problem.horizon):
         g = _action_log_weights(problem, lam, t, log_z[t + 1]) - log_z[t][:, None]
         # exp(log rho + g), not rho * exp(g): g can pass the overflow bound
@@ -164,7 +164,7 @@ def compose(problem: ControlProblem, components: ComponentSet, lam: float) -> Co
     component_policies = [
         _policy_log(problem, lam, part) for part in log_z_parts
     ]
-    mixture = np.zeros_like(problem.baseline_policy.table)
+    mixture = np.zeros(problem.baseline_policy.table.shape)
     for n, pol in enumerate(component_policies):
         # weights at stage t (not T) scale the per-stage policy rows.
         mixture += weights[n, :-1][:, :, None] * pol.table

@@ -5,6 +5,11 @@ validation, ``check_weight`` (the one test of every KL weight), and the two
 table helpers shared downstream: forward state marginals and the rowwise KL
 divergence.  Trajectory-level quantities live in ``oracle``, which owns
 trajectory enumeration.
+
+Every table is frozen by ``_frozen`` under one rule: data is copied unless
+neither the array nor any array it views is writeable, so frozen data is
+shared, never copied again.  ``ControlProblem.replace`` shares every table,
+and a stage-free table of a time-homogeneous file stays one stride-0 view.
 """
 
 from __future__ import annotations
@@ -31,22 +36,13 @@ class ProblemValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def _as_array(x, shape, name):
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
 def _row_violations(name: str, table: np.ndarray):
     """Rows that are not distributions: a sum off 1, a negative or a non-finite
     entry.  A NaN or infinite entry makes its row sum fail the test too.  A
     single row (a 1-D table) is named by ``name`` alone."""
     with np.errstate(invalid="ignore"):  # inf - inf in a row sums to NaN
         sums = table.sum(axis=-1)
-    bad = ~(np.abs(sums - 1.0) <= ROW_TOL) | (table < 0).any(axis=-1)
+    bad = ~(np.abs(sums - 1.0) <= ROW_TOL) | (table.min(axis=-1, initial=0.0) < 0)
     if not bad.any():
         return []
     out, negative = [], []
@@ -63,17 +59,23 @@ def _row_violations(name: str, table: np.ndarray):
     return out + negative
 
 
-def _frozen_rows(table, ndim: int, name: str, shape_error: str) -> np.ndarray:
-    """Read-only float copy of a table of ``ndim`` axes whose rows (last axis)
-    are distributions; refuses any other with its violations under ``name``."""
+def _frozen(table, shape, name: str, *, rows: bool = False) -> np.ndarray:
+    """``table`` as a read-only float array of ``shape`` (a tuple, or a number
+    of axes) under the freeze rule; with ``rows``, refused with its violations
+    under ``name`` unless each row (last axis) is a distribution."""
     table = np.asarray(table, dtype=float)
-    if table.ndim != ndim:
-        raise ValueError(shape_error)
-    bad = _row_violations(name, table)
+    if (table.shape if isinstance(shape, tuple) else table.ndim) != shape:
+        want = shape if isinstance(shape, tuple) else f"{shape} axes"
+        raise ValueError(f"{name} has shape {table.shape}, expected {want}")
+    bad = _row_violations(name, table) if rows else []
     if bad:
         raise ProblemValidationError(bad)
-    table = table.copy()
-    table.flags.writeable = False
+    base = table
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
+        table = table.copy()
+        table.flags.writeable = False
     return table
 
 
@@ -84,18 +86,7 @@ class Policy:
     table: np.ndarray
 
     def __post_init__(self):
-        table = _frozen_rows(
-            self.table, 3, "pi", "policy table must have shape (T, S, A)"
-        )
-        object.__setattr__(self, "table", table)
-
-    @property
-    def horizon(self) -> int:
-        return self.table.shape[0]
-
-    @staticmethod
-    def uniform(horizon: int, num_states: int, num_actions: int) -> "Policy":
-        return Policy(np.full((horizon, num_states, num_actions), 1.0 / num_actions))
+        object.__setattr__(self, "table", _frozen(self.table, 3, "pi", rows=True))
 
     @staticmethod
     def deterministic(actions: np.ndarray, num_actions: int) -> "Policy":
@@ -114,10 +105,7 @@ class TransitionKernel:
     table: np.ndarray
 
     def __post_init__(self):
-        table = _frozen_rows(
-            self.table, 4, "tau", "kernel table must have shape (T, S, A, S)"
-        )
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _frozen(self.table, 4, "tau", rows=True))
 
 
 @dataclass(frozen=True)
@@ -146,9 +134,7 @@ class ControlProblem:
         if T < 0 or S <= 0 or A <= 0:
             raise ValueError("horizon must be >= 0 and state/action counts positive")
         object.__setattr__(
-            self,
-            "initial_distribution",
-            _as_array(self.initial_distribution, (S,), "initial_distribution"),
+            self, "initial_distribution", _frozen(self.initial_distribution, (S,), "initial_distribution")
         )
         if not isinstance(self.baseline_kernels, TransitionKernel):
             object.__setattr__(
@@ -160,12 +146,8 @@ class ControlProblem:
             raise ValueError("baseline_kernels shape mismatch")
         if self.baseline_policy.table.shape != (T, S, A):
             raise ValueError("baseline_policy shape mismatch")
-        object.__setattr__(
-            self, "stage_costs", _as_array(self.stage_costs, (T, S, A), "stage_costs")
-        )
-        object.__setattr__(
-            self, "terminal_cost", _as_array(self.terminal_cost, (S,), "terminal_cost")
-        )
+        object.__setattr__(self, "stage_costs", _frozen(self.stage_costs, (T, S, A), "stage_costs"))
+        object.__setattr__(self, "terminal_cost", _frozen(self.terminal_cost, (S,), "terminal_cost"))
 
     def replace(self, **kwargs) -> "ControlProblem":
         return dataclasses.replace(self, **kwargs)
@@ -195,7 +177,7 @@ def validate_problem(problem: ControlProblem) -> list:
     are well defined for any finite costs.  Non-finite entries are errors.
     The baseline policy and kernels are not checked again here: a
     ControlProblem holds them as Policy/TransitionKernel, which refuse bad
-    rows when built and keep read-only copies.
+    rows when built and hold their tables read-only under the freeze rule.
     """
     out = _row_violations("initial_distribution", problem.initial_distribution)
     for name, table in (

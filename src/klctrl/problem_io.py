@@ -2,9 +2,9 @@
 
 A problem file is a JSON document with the model tables, optional KL weights
 and optional compositional components.  Per-stage tables may be given once
-with ``"time_homogeneous": true`` and are expanded to the horizon length.
-Unknown keys are rejected so typos never pass silently, and so are the
-non-standard ``NaN``/``Infinity`` literals that Python's json module accepts.
+with ``"time_homogeneous": true`` and are then stored once, as a stride-0 view
+over the horizon.  Unknown and duplicate keys are rejected so typos never pass
+silently, and so are the non-standard ``NaN``/``Infinity`` literals of json.
 Fields are never coerced: counts must be JSON integers, the homogeneity flag
 a JSON boolean, and weights and table entries JSON numbers.
 """
@@ -47,6 +47,15 @@ def _reject_constant(name):
     raise ProblemFormatError(f"non-finite literal {name} is not allowed")
 
 
+def _unique_keys(pairs):
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ProblemFormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _scalar(name, value, types, kind):
     """``value`` if it is of ``types``; a bool passes only as a boolean."""
     if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
@@ -55,14 +64,17 @@ def _scalar(name, value, types, kind):
 
 
 def _table(name, value) -> np.ndarray:
-    """Float array of a JSON table, in one conversion; refuses non-numbers."""
+    """Read-only float array of a JSON table, in one conversion; refuses non-numbers."""
     arr = np.asarray(value)
     if arr.dtype.kind == "O" and set(map(type, arr.ravel())) <= {int, float}:
         # numpy holds an integer past 64 bits only as a Python object
         raise ProblemFormatError(f"{name} holds an integer out of range (past 64 bits)")
     if arr.dtype.kind not in "iuf" or (arr.ndim and _holds_a_bool(value, arr)):
         raise ProblemFormatError(f"{name} must hold JSON numbers only")
-    return arr.astype(float, copy=False)
+    arr = arr.astype(float, copy=False)
+    if arr is not value:  # an array passed in stays its caller's
+        arr.flags.writeable = False
+    return arr
 
 
 def _holds_a_bool(value, arr) -> bool:
@@ -173,7 +185,7 @@ def parse_problem(doc: dict) -> Tuple[ControlProblem, Optional[ComponentSet]]:
 def load_problem(path) -> Tuple[ControlProblem, Optional[ComponentSet]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"invalid JSON: {exc}") from exc
     return parse_problem(doc)

@@ -75,9 +75,11 @@ class Solution:
         if self.weight_s is None:
             return self.kernels
         iota = self.kernels.table
-        tau = np.empty_like(iota)
+        # np.empty, not empty_like: a stride-0 iota would give its layout
+        tau = np.empty(iota.shape)
         for t in range(len(iota)):
             tau[t] = tilted_rows(iota[t], self.V[t + 1], self.weight_s)
+        tau.flags.writeable = False  # handed over, so TransitionKernel shares it
         return TransitionKernel(tau)
 
 
@@ -110,6 +112,8 @@ def _weights(
     problem: ControlProblem, form: Formulation, synchronized: bool, table_literal: bool
 ) -> tuple:
     """(weight_p, weight_s) of one formulation; None marks a pinned side."""
+    if (synchronized or table_literal) and form is not Formulation.SP_RSOC:
+        raise ValueError(f"synchronized / table_literal apply to sp_rsoc only, not {form.value}")
     weight_p = None
     if form is Formulation.SP_RSOC:
         lam_s = _require_lambda_s(problem)
