@@ -39,10 +39,16 @@ class ProblemValidationError(ValueError):
 def _row_violations(name: str, table: np.ndarray):
     """Rows that are not distributions: a sum off 1, a negative or a non-finite
     entry.  A NaN or infinite entry makes its row sum fail the test too.  A
-    single row (a 1-D table) is named by ``name`` alone."""
+    single row (a 1-D table) is named by ``name`` alone.  A table whose leading
+    axis has stride 0 (a stage-free table) stores one stage, so only that
+    stage is checked and named, as stage 0."""
+    if table.ndim > 1 and table.strides[0] == 0:
+        table = table[:1]
     with np.errstate(invalid="ignore"):  # inf - inf in a row sums to NaN
         sums = table.sum(axis=-1)
-    bad = ~(np.abs(sums - 1.0) <= ROW_TOL) | (table.min(axis=-1, initial=0.0) < 0)
+    bad = ~(np.abs(sums - 1.0) <= ROW_TOL)
+    if not table.min(initial=0.0) >= 0:  # NaN-safe: a NaN min searches the rows too
+        bad = bad | (table.min(axis=-1, initial=0.0) < 0)
     if not bad.any():
         return []
     out, negative = [], []

@@ -1,20 +1,24 @@
 """Entropic risk operator, its tilted-distribution dual and certificates.
 
-The row operators behind every backward pass, ``entropic_risk_rows``,
-``tilted_rows`` and ``risk_and_tilted_rows`` (both from one exponentiation,
-for the soft action step), run in probability space:
+Every row operator behind a backward pass, ``log_expect_exp``,
+``entropic_risk_rows``, ``tilted_rows`` and ``risk_and_tilted_rows`` (risk and
+tilt from one exponentiation, for the soft action step), takes
+log s = log sum_y mu(y) exp(g(y)) from one core, ``_log_sum``.  It forms the
+sum in probability space, in one of two ways:
 
-- When the rows share one value vector (a kernel table against V_{t+1}), the
-  vector is shifted by its maximum and the sum is one BLAS matrix-vector
-  product, ``mu @ exp(g - max g)``.
-- When each row has its own values (the (S, A) action step), each row is
-  shifted by its maximum over the support of ``mu``.
+- Rows that share one value vector (a kernel table against V_{t+1}) shift
+  it by its maximum, and the sum is one BLAS matrix-vector product,
+  ``mu @ exp(g - max g)``.
+- Rows with their own values (the (S, A) action step) are each shifted by
+  their maximum over the support of ``mu``.
 
 Either shift keeps every exponential at most 1, so nothing overflows.  A row
 whose shifted sum falls below ``UNDERFLOW_SUM`` may have lost terms to
-underflow, and only those rows are redone in the log domain with
-``logsumexp``.  Entries with zero base probability are ignored regardless of
-the function value there, and stay exact zeros in tilted rows.
+underflow: its sum is raised to the bound before the log and the tilt's
+division, so neither meets a zero, and the row is then redone in the log
+domain with ``logsumexp``.  Rows at or above the bound are untouched.
+Entries with zero base probability are ignored regardless of the function
+value there, and stay exact zeros in tilted rows.
 
 No backward pass stores the tilted kernel tau* as a table: ``solvers.Solution``
 builds it on first access from (iota, V, lambda_s) with ``tilted_rows``, and
@@ -32,7 +36,7 @@ from .model import check_weight, kl_rows
 UNDERFLOW_SUM = 1e-250
 
 
-def logsumexp(a, axis=-1, keepdims: bool = False):
+def logsumexp(a, axis=-1):
     """log(sum(exp(a))) along ``axis``, shifted by the maximum.
 
     Rows that are all -inf give -inf.
@@ -42,51 +46,45 @@ def logsumexp(a, axis=-1, keepdims: bool = False):
     top = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
-    return out if keepdims else np.squeeze(out, axis=axis)
+    return np.squeeze(out, axis=axis)
 
 
-def _shifted(mu: np.ndarray, g: np.ndarray):
-    """(e, s, shift) with e = exp(g - shift) <= 1 on the support of ``mu`` and
-    s = sum_y mu e along the last axis.
+def _log_sum(mu: np.ndarray, g: np.ndarray):
+    """(e, s, log_s, low, w) for s = sum_y mu exp(g - shift) along the last axis.
 
-    A 1-D ``g`` under a table ``mu`` is shared by every row: one global shift
-    and one matrix-vector product.  Otherwise ``g`` has the shape of ``mu``
-    and each row is shifted by its maximum over the support of ``mu``.
+    e = exp(g - shift) <= 1 on the support of ``mu``; s is raised to
+    ``UNDERFLOW_SUM``; log_s = log sum_y mu exp(g).  The rows ``low`` whose
+    sum fell below the bound have log_s redone from their log terms
+    w = log mu + g, which are None when no row is low.
     """
-    if g.ndim == 1 and mu.ndim > 1:
+    shared = g.ndim == 1 and mu.ndim > 1
+    if shared:
         shift = g.max()
         e = np.exp(g - shift)
-        s = mu.reshape(-1, mu.shape[-1]) @ e
-        return e, s.reshape(mu.shape[:-1]), shift
-    g = np.where(mu > 0, g, -np.inf)
-    shift = g.max(axis=-1, keepdims=True)
-    e = np.exp(g - shift)
-    return e, (mu * e).sum(axis=-1), shift[..., 0]
-
-
-def _log_terms(mu: np.ndarray, g: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """log mu + g on the selected rows of ``mu``, for the log-domain redo."""
-    with np.errstate(divide="ignore"):
-        log_mu = np.log(mu[rows])
-    return log_mu + (g if g.ndim == 1 and mu.ndim > 1 else g[rows])
+        s = (mu.reshape(-1, mu.shape[-1]) @ e).reshape(mu.shape[:-1])
+    else:
+        masked = np.where(mu > 0, g, -np.inf)
+        top = masked.max(axis=-1, keepdims=True)
+        e = np.exp(masked - top)
+        s, shift = (mu * e).sum(axis=-1), top[..., 0]
+    low = s < UNDERFLOW_SUM
+    s = np.maximum(s, UNDERFLOW_SUM)
+    log_s = np.asarray(np.log(s) + shift)
+    w = None
+    if low.any():
+        with np.errstate(divide="ignore"):
+            w = np.log(mu[low]) + (g if shared else g[low])
+        log_s[low] = logsumexp(w)
+    return e, s, log_s, low, w
 
 
 def log_expect_exp(mu, g) -> np.ndarray:
-    """log sum_y mu(y | row) exp(g(y)) for every row of ``mu``, in probability space.
+    """log sum_y mu(y | row) exp(g(y)) for every row of ``mu``.
 
     ``g`` is one vector shared by all rows, or one row of values per row of
-    ``mu``.  Rows whose shifted sum is below ``UNDERFLOW_SUM`` are redone in
-    the log domain.
+    ``mu``.
     """
-    mu = np.asarray(mu, dtype=float)
-    g = np.asarray(g, dtype=float)
-    _, s, shift = _shifted(mu, g)
-    with np.errstate(divide="ignore"):
-        out = np.asarray(np.log(s) + shift)
-    low = s < UNDERFLOW_SUM
-    if low.any():
-        out[low] = logsumexp(_log_terms(mu, g, low))
-    return out
+    return _log_sum(np.asarray(mu, dtype=float), np.asarray(g, dtype=float))[2]
 
 
 def _check_inputs(mu: np.ndarray, f: np.ndarray):
@@ -153,19 +151,11 @@ def risk_and_tilted_rows(mu: np.ndarray, f: np.ndarray, lam: float):
     """(``entropic_risk_rows(mu, f, lam)``, ``tilted_rows(mu, f, lam)``) from one
     shift: the exponentials of the table are taken once and serve both."""
     mu = np.asarray(mu, dtype=float)
-    g = -lam * np.asarray(f, dtype=float)
-    e, s, shift = _shifted(mu, g)
-    with np.errstate(divide="ignore"):
-        log_s = np.asarray(np.log(s) + shift)
+    e, s, log_s, low, w = _log_sum(mu, -lam * np.asarray(f, dtype=float))
     out = mu * e
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out /= s[..., None]
-    low = s < UNDERFLOW_SUM
-    if low.any():
-        w = _log_terms(mu, g, low)
-        lse = logsumexp(w, keepdims=True)
-        log_s[low] = lse[..., 0]
-        out[low] = np.exp(w - lse)
+    out /= s[..., None]
+    if w is not None:
+        out[low] = np.exp(w - log_s[low][..., None])
     return -log_s / lam, out
 
 

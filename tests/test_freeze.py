@@ -12,6 +12,7 @@ from klctrl import (
     ControlProblem,
     Formulation,
     Policy,
+    ProblemValidationError,
     TransitionKernel,
     compose,
     linear_backward,
@@ -157,3 +158,31 @@ def test_reading_tau_star_holds_about_one_table():
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * tau.nbytes
+
+
+def test_a_bad_stage_free_row_is_reported_once_as_stage_0(tmp_path):
+    doc = {
+        "horizon": 3,
+        "num_states": 2,
+        "num_actions": 2,
+        "initial_distribution": [1.0, 0.0],
+        "time_homogeneous": True,
+        "transitions": [[[0.6, 0.6], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+        "stage_costs": [[0.0, 0.0], [0.0, 0.0]],
+        "terminal_cost": [1.0, 0.0],
+    }
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemValidationError) as err:
+        load_problem(path)
+    assert err.value.violations == ["tau(0, 0, 0): row sum 1.2 != 1"]
+
+    doc.update(
+        time_homogeneous=False,
+        transitions=[doc["transitions"]] * 3,
+        stage_costs=[doc["stage_costs"]] * 3,
+    )
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemValidationError) as err:
+        load_problem(path)
+    assert err.value.violations == [f"tau({t}, 0, 0): row sum 1.2 != 1" for t in range(3)]

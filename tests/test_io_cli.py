@@ -255,6 +255,23 @@ def test_import_needs_numpy_alone():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_adds_only_stdlib_numpy_and_klctrl():
+    # numpy is the only runtime dependency, and `import klctrl` is part of
+    # every in-process benchmark set-up.
+    src = str(Path(klctrl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys; before = set(sys.modules); import klctrl; "
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(*sorted(added - set(sys.stdlib_module_names)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"klctrl", "numpy"}
+
+
 def test_components_round_trip(tmp_path, rng):
     problem = random_problem(rng)
     path = tmp_path / "p.json"

@@ -245,3 +245,13 @@ def test_row_and_cost_violation_messages():
     assert validate_problem(problem.replace(stage_costs=costs)) == [
         "stage_costs(0, 0, 1): non-finite entry"
     ]
+
+
+def test_a_nan_elsewhere_does_not_hide_a_negative_entry():
+    # The whole-table min is NaN here, so the gate must still search the rows.
+    table = np.array([[[0.5, 0.5], [np.nan, 1.0], [1.5, -0.5]]])
+    expected = ["pi(0, 1): non-finite entry", "pi(0, 2, 1): negative entry -0.5"]
+    assert _row_violations("pi", table) == expected
+    with pytest.raises(ProblemValidationError) as err:
+        Policy(table)
+    assert err.value.violations == expected

@@ -7,7 +7,13 @@ from klctrl import (
     entropic_risk,
     tilted_distribution,
 )
-from klctrl.risk import UNDERFLOW_SUM, entropic_risk_rows, risk_and_tilted_rows, tilted_rows
+from klctrl.risk import (
+    UNDERFLOW_SUM,
+    entropic_risk_rows,
+    log_expect_exp,
+    risk_and_tilted_rows,
+    tilted_rows,
+)
 
 
 def _log_domain_rows(mu, g):
@@ -216,3 +222,41 @@ def test_risk_and_tilted_rows_is_bitwise_the_two_row_operators(rng, lam):
         risk, tilt = risk_and_tilted_rows(base, values, lam)
         assert _same_bits(risk, entropic_risk_rows(base, values, lam))
         assert _same_bits(tilt, tilted_rows(base, values, lam))
+
+
+@pytest.mark.parametrize("lam", [700.0, -700.0, 1000.0, -1000.0])
+def test_row_operators_raise_no_floating_point_error_on_rows_that_take_the_redo(rng, lam):
+    # The construction of the test above.  Some shared-vector rows sum to an
+    # exact 0, which the core raises to UNDERFLOW_SUM before the log and the
+    # tilt's division; underflow itself is expected and left alone.
+    S, A = 12, 3
+    f = np.sign(lam) * rng.uniform(1.0, 1.5, size=S)
+    f[0] = 0.0
+    mu = rng.random((S, A, S)) * (rng.random((S, A, S)) < 0.4)
+    mu[..., 1] += 0.1
+    mu[: S // 2, :, 0] = 0.0
+    mu[S // 2 :, :, 0] += 0.1
+    mu /= mu.sum(axis=-1, keepdims=True)
+    rows = np.tile(f[1:A + 1], (S, 1))
+    rows[:, 0] = 0.0
+    weights = rng.dirichlet(np.ones(A), size=S)
+    weights[: S // 2, 0] = 1e-300
+    weights[S // 2 :, 2] = 0.0
+    weights /= weights.sum(axis=-1, keepdims=True)
+    g = -lam * f
+    assert (mu @ np.exp(g - g.max()) == 0.0).any()
+    operators = (
+        lambda base, values: log_expect_exp(base, -lam * values),
+        lambda base, values: entropic_risk_rows(base, values, lam),
+        lambda base, values: tilted_rows(base, values, lam),
+        lambda base, values: risk_and_tilted_rows(base, values, lam),
+    )
+    for base, values in ((mu, f), (weights, rows), (mu[0, 0], f)):
+        for op in operators:
+            expected = op(base, values)
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                got = op(base, values)
+            if isinstance(expected, tuple):
+                assert all(_same_bits(a, b) for a, b in zip(got, expected))
+            else:
+                assert _same_bits(got, expected)
