@@ -5,18 +5,21 @@ it, exact risk objectives, exponentially tilted posteriors, conditional
 policies and deterministic-policy sweeps.  ``evaluate_objective`` scores any
 decision variables by enumeration, with the weights of ``solvers._weights``.
 These are the ground truth the solver modules are tested against, so every
-answer here is exact or absent: caps raise, they never truncate.
+answer here is exact or absent: caps raise, they never truncate.  Risk values
+and tilts come from ``risk.entropic_risk`` and ``risk.tilted_distribution``
+and the rsoc sweep from their log-domain core, never from the solver's row
+operators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .model import ControlProblem, Policy, TransitionKernel, check_weight, kl_rows, state_marginals
-from .risk import entropic_risk, logsumexp
+from .risk import _reference_log_sum, entropic_risk, tilted_distribution
 from .solvers import Formulation, _require_valid, _weights
 
 DEFAULT_TRAJECTORY_CAP = 10**6
@@ -138,26 +141,14 @@ def enumerate_trajectories(
 
 def tilt_table(table: TrajectoryTable, lam) -> TrajectoryTable:
     """Reweight trajectory probabilities by exp(-lam cost) and renormalize."""
-    lam = check_weight(lam, "lambda", positive=False)
-    logw = np.log(table.probs) - lam * table.costs
-    logw -= logsumexp(logw)
-    return TrajectoryTable(
-        table.problem,
-        table.policy,
-        table.kernel,
-        table.states,
-        table.actions,
-        np.exp(logw),
-        table.costs,
-    )
+    return replace(table, probs=tilted_distribution(table.probs, table.costs, lam))
 
 
 def exact_risk_objective(table: TrajectoryTable, lam) -> float:
     """-(1/lam) log sum_traj p(traj) exp(-lam cost(traj))."""
-    lam = check_weight(lam, "lambda", positive=False)
     if len(table) == 0:
         raise ValueError("empty trajectory table")
-    return float(-logsumexp(np.log(table.probs) - lam * table.costs) / lam)
+    return entropic_risk(table.probs, table.costs, lam)
 
 
 def expected_cost(table: TrajectoryTable) -> float:
@@ -299,11 +290,8 @@ def _policy_values_rsoc(problem: ControlProblem, acts: np.ndarray, lam: float) -
     for t in reversed(range(T)):
         a = acts[:, t, :]
         trans = problem.baseline_kernels.table[t][s_idx[None, :], a]
-        with np.errstate(divide="ignore"):
-            log_trans = np.log(trans)
-        L = -lam * problem.stage_costs[t][s_idx[None, :], a] + logsumexp(
-            log_trans + L[:, None, :], axis=-1
-        )
+        log_s = _reference_log_sum(trans, L[:, None, :])[1]
+        L = -lam * problem.stage_costs[t][s_idx[None, :], a] + log_s
     support = problem.initial_distribution > 0
     V0 = -L[:, support] / lam
     return V0 @ problem.initial_distribution[support]

@@ -1,10 +1,13 @@
 """Entropic risk operator, its tilted-distribution dual and certificates.
 
-Every row operator behind a backward pass, ``log_expect_exp``,
-``entropic_risk_rows``, ``tilted_rows`` and ``risk_and_tilted_rows`` (risk and
-tilt from one exponentiation, for the soft action step), takes
-log s = log sum_y mu(y) exp(g(y)) from one core, ``_log_sum``.  It forms the
-sum in probability space, in one of two ways:
+Two cores compute log sum_y mu(y) exp(g(y)) along the last axis, one for
+each side of the oracle cross-checks, and share nothing but ``logsumexp``.
+
+``_log_sum`` serves the solver.  Every row operator behind a backward pass,
+``log_expect_exp``, ``entropic_risk_rows``, ``tilted_rows`` and
+``risk_and_tilted_rows`` (risk and tilt from one exponentiation, for the soft
+action step), takes log s from it.  It forms the sum in probability space,
+in one of two ways:
 
 - Rows that share one value vector (a kernel table against V_{t+1}) shift
   it by its maximum, and the sum is one BLAS matrix-vector product,
@@ -17,12 +20,14 @@ whose shifted sum falls below ``UNDERFLOW_SUM`` may have lost terms to
 underflow: its sum is raised to the bound before the log and the tilt's
 division, so neither meets a zero, and the row is then redone in the log
 domain with ``logsumexp``.  Rows at or above the bound are untouched.
-Entries with zero base probability are ignored regardless of the function
-value there, and stay exact zeros in tilted rows.
 
-No backward pass stores the tilted kernel tau* as a table: ``solvers.Solution``
-builds it on first access from (iota, V, lambda_s) with ``tilted_rows``, and
-with the transitions pinned it is the baseline kernel object itself.
+``_reference_log_sum`` serves the reference values: ``entropic_risk`` and
+``tilted_distribution``, and through it the oracle's exact risk objectives,
+tilted trajectory tables and rsoc policy sweep, and ``verify``'s central
+Bellman residual.  It sums the log terms log mu + g with ``logsumexp``.
+
+Both cores ignore entries with zero base probability, whatever the function
+value there, and tilted rows keep them as exact zeros.
 """
 
 from __future__ import annotations
@@ -87,7 +92,21 @@ def log_expect_exp(mu, g) -> np.ndarray:
     return _log_sum(np.asarray(mu, dtype=float), np.asarray(g, dtype=float))[2]
 
 
-def _check_inputs(mu: np.ndarray, f: np.ndarray):
+def _reference_log_sum(mu: np.ndarray, g: np.ndarray):
+    """(w, log s): the log terms w = log mu + g, -inf where mu = 0 whatever g
+    holds there, and log s = ``logsumexp(w)`` along the last axis.  ``g``
+    broadcasts to the shape of ``mu``."""
+    support = mu > 0
+    w = np.log(mu, out=np.full(mu.shape, -np.inf), where=support)
+    np.add(w, g, out=w, where=support)
+    return w, logsumexp(w)
+
+
+def _risk_args(mu, f, lam):
+    """(mu, f, lam, support of mu) as arrays and a checked weight, or ValueError."""
+    lam = check_weight(lam, "lambda", positive=False)
+    mu = np.asarray(mu, dtype=float)
+    f = np.asarray(f, dtype=float)
     if mu.shape != f.shape:
         raise ValueError("mu and f must have the same shape")
     if (mu < 0).any():
@@ -97,31 +116,21 @@ def _check_inputs(mu: np.ndarray, f: np.ndarray):
         raise ValueError("mu has empty support")
     if not np.isfinite(f[support]).all():
         raise ValueError("f must be finite on the support of mu")
-    return support
+    return mu, f, lam, support
 
 
 def entropic_risk(mu, f, lam) -> float:
     """-(1/lam) log E_mu[exp(-lam f)], log-sum-exp stabilized."""
-    lam = check_weight(lam, "lambda", positive=False)
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    support = _check_inputs(mu, f)
-    lse = logsumexp(np.log(mu[support]) - lam * f[support])
-    return float(-lse / lam)
+    mu, f, lam, support = _risk_args(mu, f, lam)
+    return float(-_reference_log_sum(mu[support], -lam * f[support])[1] / lam)
 
 
 def tilted_distribution(mu, f, lam) -> np.ndarray:
     """mu exp(-lam f) normalized; the extremizer of the risk dual."""
-    lam = check_weight(lam, "lambda", positive=False)
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    support = _check_inputs(mu, f)
-    w = np.full(mu.shape, -np.inf)
-    w[support] = np.log(mu[support]) - lam * f[support]
-    w -= logsumexp(w)
-    out = np.zeros(mu.shape)
-    out[support] = np.exp(w[support])
-    return out
+    mu, f, lam, support = _risk_args(mu, f, lam)
+    # f is not checked off the support, so it is not scaled there either
+    w, log_s = _reference_log_sum(mu, -lam * np.where(support, f, 0.0))
+    return np.exp(w - log_s, out=np.zeros(mu.shape), where=support)
 
 
 def dual_certificate(mu, f, lam, candidate) -> float:
@@ -130,11 +139,8 @@ def dual_certificate(mu, f, lam, candidate) -> float:
     Upper-bounds the risk value for lam > 0 and lower-bounds it for lam < 0;
     equality holds at the tilted distribution.
     """
-    lam = check_weight(lam, "lambda", positive=False)
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
+    mu, f, lam, _ = _risk_args(mu, f, lam)
     candidate = np.asarray(candidate, dtype=float)
-    _check_inputs(mu, f)
     return float(candidate @ f + kl_rows(candidate, mu, "candidate").sum() / lam)
 
 

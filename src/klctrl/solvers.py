@@ -101,17 +101,16 @@ def _require_lambda_s(problem: ControlProblem) -> float:
     return check_weight(problem.lambda_s, "lambda_s", positive=False)
 
 
-def _require_dirac(problem: ControlProblem):
-    if not problem.has_deterministic_kernels():
-        raise ValueError(
-            "doc/sp_doc require deterministic baseline kernels (Dirac rows)"
-        )
-
-
 def _weights(
     problem: ControlProblem, form: Formulation, synchronized: bool, table_literal: bool
 ) -> tuple:
-    """(weight_p, weight_s) of one formulation; None marks a pinned side."""
+    """(weight_p, weight_s) of one formulation; None marks a pinned side.
+
+    doc and sp_doc are soc and sp_soc on deterministic baseline kernels, so
+    they refuse any other problem first.
+    """
+    if form in (Formulation.DOC, Formulation.SP_DOC) and not problem.has_deterministic_kernels():
+        raise ValueError("doc/sp_doc require deterministic baseline kernels (Dirac rows)")
     if (synchronized or table_literal) and form is not Formulation.SP_RSOC:
         raise ValueError(f"synchronized / table_literal apply to sp_rsoc only, not {form.value}")
     weight_p = None
@@ -192,8 +191,6 @@ def solve_formulation(
     """
     form = Formulation(form)
     _require_valid(problem)
-    if form in (Formulation.DOC, Formulation.SP_DOC):
-        _require_dirac(problem)
     weight_p, weight_s = _weights(problem, form, synchronized, table_literal)
     return _backward(problem, form, weight_p, weight_s)
 
@@ -216,6 +213,8 @@ def _evaluate(
     expectation under ``policy`` plus KL(policy || baseline) / weight_p; a
     pinned policy applies the transition step's operator (the risk with
     ``weight_s`` or the expectation).  O(T S^2 A), no trajectory enumeration.
+    The problem is validated only when the value is not finite, so a NaN
+    entry is named and refused while a valid problem costs one test.
     """
     iota = problem.baseline_kernels.table
     pi = policy.table
@@ -241,7 +240,10 @@ def _evaluate(
             W = (pi[t] * q).sum(axis=-1)
             if kl_pi is not None:
                 W = W + kl_pi[t]
-    return float(problem.initial_distribution @ W)
+    value = float(problem.initial_distribution @ W)
+    if not np.isfinite(value):
+        _require_valid(problem)
+    return value
 
 
 def expected_cost_under(problem: ControlProblem, policy: Policy) -> float:

@@ -4,8 +4,8 @@ Runs the oracle against the solvers on one concrete problem: enumeration
 totals, Bellman residuals, objective consistency, no-improvement under random
 perturbations, deterministic-policy sweeps, the deterministic-dynamics
 collapse, the linear/path-integral equivalences and compositionality.
-The central Bellman residual is recomputed in the log domain, apart from the
-solver's probability-space row operators, so it can fail.
+The central Bellman residual is recomputed in the log domain by risk's
+reference core, apart from the solver's row operators, so it can fail.
 Checks that do not apply to the instance (wrong sign of lambda_s, missing
 weights, infeasible deterministic-policy sweeps) are skipped, not failed.
 The checks enumerate the baseline trajectories, so a problem whose
@@ -25,7 +25,7 @@ from .desirability import ComponentSet, compose, linear_backward, policy_from_de
 from .iterate import mm_solve
 from .model import ControlProblem, Policy, TransitionKernel, state_marginals, validate_problem
 from .oracle import EnumerationCapError
-from .risk import logsumexp
+from .risk import _reference_log_sum
 from .solvers import (
     Formulation,
     central_policy_value,
@@ -214,14 +214,13 @@ def _reachable_mask(problem: ControlProblem) -> np.ndarray:
 def _central_bellman_residual(problem: ControlProblem, sol) -> float:
     """Largest gap of the solver's (V, Q) from the central Bellman equations,
     recomputed for all stages at once in the log domain:
-    Q_t = c_t - logsumexp(log iota_t - lam_s V_{t+1}) / lam_s and
-    V_t = -logsumexp(log rho_t - lam_p Q_t) / lam_p."""
+    Q_t = c_t - log sum iota_t exp(-lam_s V_{t+1}) / lam_s and
+    V_t = -log sum rho_t exp(-lam_p Q_t) / lam_p."""
     lam_p, lam_s = problem.lambda_p, problem.lambda_s
-    with np.errstate(divide="ignore"):
-        log_iota = np.log(problem.baseline_kernels.table)
-        log_rho = np.log(problem.baseline_policy.table)
-    q = problem.stage_costs - logsumexp(log_iota - lam_s * sol.V[1:, None, None, :]) / lam_s
-    v = -logsumexp(log_rho - lam_p * sol.Q) / lam_p
+    iota, rho = problem.baseline_kernels.table, problem.baseline_policy.table
+    log_s = _reference_log_sum(iota, -lam_s * sol.V[1:, None, None, :])[1]
+    q = problem.stage_costs - log_s / lam_s
+    v = -_reference_log_sum(rho, -lam_p * sol.Q)[1] / lam_p
     return max(
         float(np.max(np.abs(q - sol.Q), initial=0.0)),
         float(np.max(np.abs(v - sol.V[:-1]), initial=0.0)),

@@ -711,3 +711,60 @@ def test_cli_refused_solution_write_leaves_no_dumped_problem(tmp_path, capsys):
         "V holds a non-finite value, which CSV output refuses"
     ]
     assert not dumped.exists() and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([minimal_doc()], "problem file must be a JSON object"),
+        (
+            minimal_doc() | {"stage_costs": [[0.0, 0.0, 0.0]]},
+            "stage_costs has shape (1, 3); expected (1, 2, 2) or (2, 2)",
+        ),
+        (
+            minimal_doc() | {"initial_distribution": [1.0]},
+            "initial_distribution must have one entry per state",
+        ),
+        (
+            minimal_doc() | {"terminal_cost": [1.0, 0.0, 0.0]},
+            "terminal_cost must have one entry per state",
+        ),
+        (minimal_doc() | {"components": []}, "components must be a nonempty list"),
+        (minimal_doc() | {"components": {}}, "components must be a nonempty list"),
+        (
+            minimal_doc() | {"components": [{"terminal_cost": [0.0], "gamma": 1.0}]},
+            "components[0].terminal_cost must have one entry per state",
+        ),
+        ('{"horizon": 1,', "invalid JSON: "),
+    ],
+    ids=[
+        "not-an-object",
+        "stage-costs-shape",
+        "initial-length",
+        "terminal-length",
+        "components-empty",
+        "components-object",
+        "component-terminal-length",
+        "not-json",
+    ],
+)
+def test_problem_file_refusals_name_the_fault(tmp_path, doc, message):
+    path = tmp_path / "p.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem(path)
+    assert str(err.value).startswith(message)
+
+
+def test_verify_skips_the_checks_whose_weights_are_missing():
+    import klctrl.verify as kv
+
+    m1, _ = load_bundled_problem("m1")
+    results = {r.name: r for r in kv.run_checks(m1.replace(lambda_p=None))}
+    assert results["central-bellman-residual"].status == "skip"
+    assert results["central-bellman-residual"].detail == "lambda_p/lambda_s not set"
+    chain5, components = load_bundled_problem("chain5")
+    results = {r.name: r for r in kv.run_checks(chain5.replace(lambda_s=-0.5), components)}
+    for name in ("compositionality", "linear-bellman-equivalence"):
+        assert results[name].status == "skip"
+        assert results[name].detail == "needs lambda_s > 0"

@@ -266,3 +266,17 @@ def test_em_validates_the_problem_once(monkeypatch):
     _, trace = em_solve(problem, lam=1.0, tol=0.0, max_iters=20)
     assert trace.iterations == 20
     assert len(calls) == 1
+
+
+def test_an_objective_that_rises_raises_non_descent_with_its_trace(m1, monkeypatch):
+    import itertools
+
+    import klctrl.iterate as kit
+    from klctrl import NonDescentError
+
+    values = itertools.count(1.0)
+    monkeypatch.setattr(kit, "expected_cost_under", lambda problem, policy: next(values))
+    with pytest.raises(NonDescentError, match="objective increased from 1.0 to 2.0") as err:
+        mm_solve(m1, "soc", 1.0, 0.0, 5)
+    assert err.value.trace.iterations == 1
+    assert err.value.trace.true_objective == [2.0]

@@ -277,3 +277,51 @@ def test_trajectories_stay_inside_the_oracle():
     }
     moved = {"Trajectory", "cumulative_cost", "trajectory_log_prob", "trajectory_kl"}
     assert not model_defs & moved
+
+
+SOLVER_ROW_OPERATORS = {
+    "_log_sum",
+    "log_expect_exp",
+    "entropic_risk_rows",
+    "tilted_rows",
+    "risk_and_tilted_rows",
+}
+
+
+def _referenced(tree):
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    } | {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_reference_values_stay_apart_from_the_solver_row_operators():
+    package = Path(klctrl.__file__).resolve().parent
+
+    def functions(name):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}, tree
+
+    risk_defs, _ = functions("risk.py")
+    verify_defs, _ = functions("verify.py")
+    _, oracle_tree = functions("oracle.py")
+    reference = ["entropic_risk", "tilted_distribution", "dual_certificate", "_reference_log_sum"]
+    todo = [oracle_tree, verify_defs["_central_bellman_residual"]]
+    todo += [risk_defs[name] for name in reference]
+    # follow calls into risk's own helpers, so none can hide a row operator
+    reached, seen = set(), set(reference)
+    while todo:
+        names = _referenced(todo.pop())
+        reached |= names
+        for name in (names & set(risk_defs)) - seen:
+            seen.add(name)
+            todo.append(risk_defs[name])
+    assert not reached & SOLVER_ROW_OPERATORS
+    assert "_reference_log_sum" in _referenced(oracle_tree)
+    assert "_reference_log_sum" in _referenced(verify_defs["_central_bellman_residual"])
