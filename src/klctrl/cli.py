@@ -7,9 +7,7 @@ cannot be written (details on stderr), 2 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from itertools import product
 
 import numpy as np
 
@@ -51,21 +49,21 @@ def _write_solution_csv(path, payload) -> None:
     """Write a solution payload as CSV: a formulation line, a header line, then
     one row per table entry, table by table (V, Q, pi, tau), stage by stage.
     Each row is padded to the four index columns t, x, u, x_next; values are
-    written with repr, which round-trips exactly.  A non-finite entry raises
+    written with repr, which round-trips exactly.  Each stage is written as
+    one string, so memory holds one stage's text.  A non-finite entry raises
     ValueError before the file is opened, as in ``write_json``."""
     tables = {name: table for name, table in payload.items() if name != "formulation"}
     for name, table in tables.items():
         if not np.isfinite(table).all():
             raise ValueError(f"{name} holds a non-finite value, which CSV output refuses")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["formulation", payload["formulation"], "", "", "", ""])
-        writer.writerow(["table", "t", "x", "u", "x_next", "value"])
+        fh.write(f"formulation,{payload['formulation']},,,,\r\ntable,t,x,u,x_next,value\r\n")
         for name, table in tables.items():
-            pad = [[""]] * (4 - table.ndim)
+            index = np.indices(table.shape[1:]).reshape(table.ndim - 1, -1).T.tolist()
+            tails = [",".join(map(str, i)) + "," * (5 - table.ndim) for i in index]
             for t, stage in enumerate(table):
-                index = product([name], [t], *map(range, stage.shape), *pad)
-                writer.writerows(i + (v,) for i, v in zip(index, stage.ravel().tolist()))
+                rows = zip(tails, stage.ravel().tolist())
+                fh.write("".join(f"{name},{t},{tail}{v!r}\r\n" for tail, v in rows))
 
 
 def _trace_payload(trace) -> list:

@@ -24,6 +24,7 @@ from .solvers import Formulation, _require_valid, _weights
 
 DEFAULT_TRAJECTORY_CAP = 10**6
 DEFAULT_POLICY_CAP = 10**6
+SWEEP_CHUNK = 2**14  # policies valued at once, so the sweep's memory is bounded
 
 
 class EnumerationCapError(RuntimeError):
@@ -323,13 +324,17 @@ def brute_force_policy_search(
         # conditional on x0 the cost is deterministic, so risk = expectation
         value = float(problem.initial_distribution @ problem.terminal_cost)
         return Policy(np.zeros((0, S, A))), value
-    flat = np.array(
-        np.unravel_index(np.arange(count), (A,) * (S * T))
-    ).T  # (P, S*T), first axis varies slowest
-    acts = flat.reshape(count, T, S)
-    if objective == "soc":
-        values = _policy_values_soc(problem, acts)
-    else:
-        values = _policy_values_rsoc(problem, acts, lam)
-    best = int(np.argmin(values))
-    return Policy.deterministic(acts[best], A), float(values[best])
+    picks = []  # each chunk's argmin: its first NaN, or else its first minimum
+    for lo in range(0, count, SWEEP_CHUNK):
+        index = np.arange(lo, min(lo + SWEEP_CHUNK, count))
+        # (P, T, S), first axis varies slowest
+        acts = np.array(np.unravel_index(index, (A,) * (S * T))).T.reshape(-1, T, S)
+        if objective == "soc":
+            values = _policy_values_soc(problem, acts)
+        else:
+            values = _policy_values_rsoc(problem, acts, lam)
+        best = int(np.argmin(values))
+        picks.append((values[best], acts[best].copy()))  # a copy frees the chunk
+    # argmin over the chunks' picks is argmin over the whole sweep
+    value, acts = picks[int(np.argmin([v for v, _ in picks]))]
+    return Policy.deterministic(acts, A), float(value)

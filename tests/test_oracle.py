@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from klctrl import (
+    ControlProblem,
     EnumerationCapError,
     Formulation,
     Policy,
+    TransitionKernel,
     brute_force_policy_search,
     conditional_policy,
     enumerate_trajectories,
@@ -20,6 +22,7 @@ from klctrl import (
     solve_formulation,
     tilt_table,
 )
+from klctrl import oracle
 from klctrl.oracle import expected_cost
 
 from conftest import random_problem
@@ -325,3 +328,45 @@ def test_reference_values_stay_apart_from_the_solver_row_operators():
     assert not reached & SOLVER_ROW_OPERATORS
     assert "_reference_log_sum" in _referenced(oracle_tree)
     assert "_reference_log_sum" in _referenced(verify_defs["_central_bellman_residual"])
+
+
+@pytest.mark.parametrize("objective", ["soc", "rsoc"])
+def test_policy_sweep_memory_is_bounded_by_a_chunk(rng, objective):
+    # 2^18 policies: valuing them all at once held several (P, S, S) tables
+    # and peaked at 200-390 MB
+    problem = random_problem(rng, num_states=6, num_actions=2, horizon=3, lambda_s=0.8)
+    tracemalloc.start()
+    try:
+        brute_force_policy_search(problem, objective, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("objective", ["soc", "rsoc"])
+def test_policy_sweep_keeps_a_minimum_found_in_a_later_chunk(objective):
+    # (S, A, T) = (3, 2, 5): 2^15 policies, two chunks.  Only action 0 at
+    # (t, x) = (0, 0) costs anything, and (t, x) = (0, 0) varies slowest, so
+    # the first policy of value 0 is index 2^14, the second chunk's first.
+    S, A, T = 3, 2, 5
+    assert oracle.SWEEP_CHUNK == 2**14 == A ** (S * T) // 2
+    kernels = np.zeros((T, S, A, S))
+    kernels[:, np.arange(S), :, np.arange(S)] = 1.0  # stay put
+    costs = np.zeros((T, S, A))
+    costs[0, 0, 0] = 1.0
+    problem = ControlProblem(
+        horizon=T,
+        num_states=S,
+        num_actions=A,
+        initial_distribution=[1.0, 0.0, 0.0],
+        baseline_kernels=TransitionKernel(kernels),
+        baseline_policy=Policy(np.full((T, S, A), 0.5)),
+        stage_costs=costs,
+        terminal_cost=np.zeros(S),
+    )
+    policy, value = brute_force_policy_search(problem, objective, 0.8)
+    expected = np.zeros((T, S), dtype=int)
+    expected[0, 0] = 1
+    np.testing.assert_array_equal(policy.table.argmax(axis=-1), expected)
+    assert value == 0.0
