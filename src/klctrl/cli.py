@@ -229,25 +229,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        problem, components = _load(args.problem)
-        payload = args.func(args, problem, components)
-        write = _write_solution_csv if getattr(args, "format", None) == "csv" else write_json
-        write(args.out, payload)
-        # after the solution is written, so a refused solve or write leaves no dump
-        if getattr(args, "dump_problem", None):
-            dump_problem(problem, args.dump_problem)
-        return EXIT_OK
-    except EnumerationCapError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CAP
-    except (ValueError, OSError) as exc:
-        # a ProblemValidationError carries its violations, one per line
-        for line in getattr(exc, "violations", [str(exc)]):
-            print(line, file=sys.stderr)
-        return EXIT_INVALID
+    # numpy's overflow and invalid warnings stay off stderr: the row checks and
+    # both writers already refuse every non-finite result by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if args.command == "verify":
+                return _cmd_verify(args)
+            problem, components = _load(args.problem)
+            payload = args.func(args, problem, components)
+            write = _write_solution_csv if getattr(args, "format", None) == "csv" else write_json
+            write(args.out, payload)
+            # after the solution is written, so a refused solve or write leaves no dump
+            if getattr(args, "dump_problem", None):
+                dump_problem(problem, args.dump_problem)
+            return EXIT_OK
+        except EnumerationCapError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_CAP
+        except (ValueError, OSError) as exc:
+            # a ProblemValidationError carries its violations, one per line
+            for line in getattr(exc, "violations", [str(exc)]):
+                print(line, file=sys.stderr)
+            return EXIT_INVALID
 
 
 if __name__ == "__main__":  # pragma: no cover

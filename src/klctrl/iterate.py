@@ -24,6 +24,7 @@ from .solvers import (
     Formulation,
     _require_lambda_s,
     _require_valid,
+    _soft_policy_form,
     expected_cost_under,
     initial_value,
     rsoc_value,
@@ -98,13 +99,11 @@ def mm_solve(
     current iterate and the given policy weight; for 'rsoc' the transition
     weight is the problem's lambda_s.  Returns (final Solution, trace).
     """
-    if target not in ("soc", "rsoc"):
-        raise ValueError(f"unknown target {target!r}")
+    form = _soft_policy_form(target)
     lambda_p = check_weight(lambda_p, "lambda_p", positive=True)
     _require_stopping_rule(tol, max_iters)
-    if target == "rsoc":
+    if form is Formulation.SP_RSOC:
         _require_lambda_s(problem)
-    form = Formulation.SP_SOC if target == "soc" else Formulation.SP_RSOC
 
     def true_objective(policy: Policy) -> float:
         if target == "soc":
@@ -122,7 +121,7 @@ def mm_solve(
         solution = solve_formulation(sub, form)
         pi_next = Policy(_floor_support(solution.pi_star.table))
         j_next = true_objective(pi_next)
-        delta_pi = float(np.max(np.abs(pi_next.table - pi_k.table)))
+        delta_pi = float(np.max(np.abs(pi_next.table - pi_k.table), initial=0.0))
         # None on the first iteration: there is no previous V to compare with
         delta_v = (
             float(np.max(np.abs(solution.V - v_prev))) if v_prev is not None else None
@@ -202,7 +201,7 @@ def em_solve(
     trace.policy_iterates.append(pi_k.table)
     pi_next, surrogate, j_prev = _e_step(problem, pi_k, lam)
     for k in range(max_iters):
-        delta_pi = float(np.max(np.abs(pi_next.table - pi_k.table)))
+        delta_pi = float(np.max(np.abs(pi_next.table - pi_k.table), initial=0.0))
         if delta_pi <= tol or k == max_iters - 1:
             j_next = rsoc_value(problem, pi_next, lam)
             step = None

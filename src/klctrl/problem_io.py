@@ -95,6 +95,9 @@ def _expand(name, value, homogeneous_shape, full_shape, time_homogeneous):
     arr = _table(name, value)
     if arr.shape == full_shape:
         return arr
+    if arr.shape == (0,) and full_shape[0] == 0:
+        # a horizon-0 table has no stages, and json writes it as []
+        return arr.reshape(full_shape)
     if arr.shape == homogeneous_shape:
         if not time_homogeneous:
             raise ProblemFormatError(

@@ -8,16 +8,16 @@ the baseline kernels (tau* is then the baseline kernel object itself) or the
 hard minimum over actions (a greedy pi*).  The pass stores no (T, S, A, S)
 table: tau*_t(. | x, u) is proportional to iota_t(. | x, u) exp(-lambda_s
 V_{t+1}), so ``Solution.tau_star`` builds it on first access from (iota, V,
-lambda_s).  ``solve_formulation`` validates
-the problem once, picks the two weights and runs the pass; ``solve_central``
-is its central case.  ``_weights`` maps a formulation to its two weights;
-``oracle.evaluate_objective`` scores by enumeration through the same map.
-``_evaluate`` is the matching backward evaluator for fixed decision
-variables, behind ``expected_cost_under``, ``rsoc_value``,
-``regularized_policy_value`` and ``central_policy_value``.  It keeps the
-same convention: a side without a weight is pinned, and a pinned policy step
-applies the transition step's operator (the risk when the transitions take
-it, the expectation otherwise).  Every weight passes ``model.check_weight``.
+lambda_s).  ``solve_formulation`` validates the problem once, picks the two
+weights and runs the pass; ``solve_central`` is its central case.
+``_weights`` maps a formulation to its two weights, and every pass reads
+it: ``_backward``, the oracle's enumerating ``evaluate_objective`` and
+``_evaluate``, the backward evaluator of fixed decision variables with the
+oracle's call shape.  ``expected_cost_under``, ``rsoc_value``,
+``regularized_policy_value`` and ``central_policy_value`` are each one call
+of it.  In ``_evaluate`` a pinned policy step applies the transition step's
+operator (the risk when the transitions take it, the expectation otherwise).
+Every weight passes ``model.check_weight``.
 """
 
 from __future__ import annotations
@@ -195,29 +195,33 @@ def solve_formulation(
     return _backward(problem, form, weight_p, weight_s)
 
 
+def _soft_policy_form(target: str) -> Formulation:
+    """The soft-policy formulation of a classical target: sp_soc or sp_rsoc."""
+    if target not in ("soc", "rsoc"):
+        raise ValueError(f"unknown target {target!r}")
+    return Formulation.SP_SOC if target == "soc" else Formulation.SP_RSOC
+
+
 def _evaluate(
     problem: ControlProblem,
+    form: Formulation,
     policy: Policy,
     kernel: Optional[TransitionKernel] = None,
-    *,
-    weight_s: Optional[float] = None,
-    weight_p: Optional[float] = None,
 ) -> float:
-    """Backward evaluation of a fixed policy (and kernel): sum_x p(x0) W_0(x0).
+    """Backward evaluation of fixed decision variables: sum_x p(x0) W_0(x0).
 
-    As in ``_backward``, a side without a weight is pinned.  Transition step:
-    with ``weight_s`` and no ``kernel``, the free transitions take the risk of
-    W_{t+1} over the baseline kernels; otherwise the expectation under
-    ``kernel`` (default: the baseline kernels), plus KL(kernel || baseline) /
-    weight_s when both are given.  Policy step: with ``weight_p``, the
-    expectation under ``policy`` plus KL(policy || baseline) / weight_p; a
-    pinned policy applies the transition step's operator (the risk with
-    ``weight_s`` or the expectation).  O(T S^2 A), no trajectory enumeration.
-    The problem is validated only when the value is not finite, so a NaN
-    entry is named and refused while a valid problem costs one test.
+    The weights are ``_weights`` of ``form``; as in ``_backward``, a side
+    without a weight is pinned.  Free transitions without a ``kernel`` take
+    the risk of W_{t+1} over the baseline kernels; otherwise the expectation
+    under ``kernel`` (default: the baseline), plus KL(kernel || baseline) /
+    weight_s when they are free.  A free policy takes the expectation plus
+    KL(policy || baseline) / weight_p; a pinned one applies the transition
+    step's operator.  O(T S^2 A), no trajectory enumeration.  The problem is
+    validated only when the value is not finite, so a NaN entry is named and
+    refused while a valid problem costs one test.
     """
-    iota = problem.baseline_kernels.table
-    pi = policy.table
+    weight_p, weight_s = _weights(problem, form, False, False)
+    iota, pi = problem.baseline_kernels.table, policy.table
     risk_s = kernel is None and weight_s is not None
     kl_tau = None
     if kernel is not None and weight_s is not None:
@@ -248,7 +252,7 @@ def _evaluate(
 
 def expected_cost_under(problem: ControlProblem, policy: Policy) -> float:
     """Exact expected cumulative cost under (policy, baseline kernels)."""
-    return _evaluate(problem, policy)
+    return _evaluate(problem, Formulation.SOC, policy)
 
 
 def rsoc_value(problem: ControlProblem, policy: Policy, lam: float) -> float:
@@ -259,7 +263,8 @@ def rsoc_value(problem: ControlProblem, policy: Policy, lam: float) -> float:
     by every solver.  Conditional on x0 the risk of the whole trajectory cost
     nests stage by stage, over actions and transitions alike.
     """
-    return _evaluate(problem, policy, weight_s=check_weight(lam, "lam", positive=False))
+    lam = check_weight(lam, "lam", positive=False)
+    return _evaluate(problem.replace(lambda_s=lam), Formulation.RSOC, policy)
 
 
 def initial_value(problem: ControlProblem, solution: Solution) -> float:
@@ -280,12 +285,8 @@ def regularized_policy_value(
     for target 'rsoc' the transition extremum is folded in through the risk
     recursion, so the result is the tight surrogate value at ``policy``.
     """
-    if target not in ("soc", "rsoc"):
-        raise ValueError(f"unknown target {target!r}")
-    lambda_p = check_weight(lambda_p, "lambda_p", positive=True)
-    lam_s = _require_lambda_s(problem) if target == "rsoc" else None
-    problem = problem.replace(baseline_policy=baseline)
-    return _evaluate(problem, policy, weight_s=lam_s, weight_p=lambda_p)
+    form = _soft_policy_form(target)
+    return _evaluate(problem.replace(baseline_policy=baseline, lambda_p=lambda_p), form, policy)
 
 
 def central_policy_value(
@@ -297,6 +298,4 @@ def central_policy_value(
     ``oracle.evaluate_objective`` on the central formulation but avoids
     trajectory enumeration.
     """
-    lam_p = _require_lambda_p(problem)
-    lam_s = _require_lambda_s(problem)
-    return _evaluate(problem, policy, kernel, weight_s=lam_s, weight_p=lam_p)
+    return _evaluate(problem, Formulation.CENTRAL, policy, kernel)

@@ -165,13 +165,13 @@ def run_checks(
         gap = float(np.max(np.abs(d.values() - central.V)))
         record("linear-bellman-equivalence", gap <= 1e-9, f"max V gap {gap:.3g}")
         pol = policy_from_desirability(problem, d)
-        gap = float(np.max(np.abs(pol.table - central.pi_star.table)))
+        gap = float(np.max(np.abs(pol.table - central.pi_star.table), initial=0.0))
         record("desirability-policy-equivalence", gap <= 1e-9, f"max gap {gap:.3g}")
         posterior = oracle.exact_posterior(problem, problem.baseline_policy, sync_lam)
         cond = oracle.conditional_policy(posterior)
         reach = _reachable_mask(problem)
         gap = float(
-            np.max(np.abs((cond.table - central.pi_star.table)[reach]))
+            np.max(np.abs((cond.table - central.pi_star.table)[reach]), initial=0.0)
         )
         record("posterior-policy-equivalence", gap <= 1e-9, f"max gap {gap:.3g}")
     else:
@@ -184,7 +184,7 @@ def run_checks(
             comp = compose(problem, components, sync_lam)
             direct = policy_from_desirability(problem, comp.composite)
             gap_pi = float(
-                np.max(np.abs(comp.mixture_policy.table - direct.table))
+                np.max(np.abs(comp.mixture_policy.table - direct.table), initial=0.0)
             )
             gap_w = float(np.max(np.abs(comp.weights.sum(axis=0) - 1.0)))
             record(

@@ -768,3 +768,96 @@ def test_verify_skips_the_checks_whose_weights_are_missing():
     for name in ("compositionality", "linear-bellman-equivalence"):
         assert results[name].status == "skip"
         assert results[name].detail == "needs lambda_s > 0"
+
+
+def horizon_zero_doc():
+    """A time-homogeneous (T, S, A) = (0, 2, 2) problem: no stage at all."""
+    return minimal_doc() | {
+        "horizon": 0,
+        "time_homogeneous": True,
+        "transitions": [[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.3, 0.7]]],
+        "stage_costs": [[1.0, 2.0], [0.5, 0.0]],
+        "lambda_p": 1.0,
+        "lambda_s": 0.5,
+    }
+
+
+def test_cli_mm_em_and_verify_run_on_a_horizon_zero_problem(tmp_path, capsys):
+    path, out = tmp_path / "h0.json", tmp_path / "out.json"
+    path.write_text(json.dumps(horizon_zero_doc()))
+    stop = ["--tol", "1e-10", "--max-iters", "5", "--out", str(out)]
+    for target in ("soc", "rsoc"):
+        args = ["mm", "--problem", str(path), "--target", target, "--lambda-p", "1.0"]
+        assert main(args + stop) == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"] and payload["iterations"] == 1
+    assert main(["em", "--problem", str(path), "--lambda", "1.0"] + stop) == 0
+    assert json.loads(out.read_text())["converged"]
+    capsys.readouterr()
+    assert main(["verify", "--problem", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "PASS validation"
+    assert all(line.startswith(("PASS ", "SKIP ")) for line in lines)
+
+
+def test_a_horizon_zero_problem_round_trips_through_its_dump(tmp_path):
+    problem, _ = parse_problem(horizon_zero_doc())
+    dump_problem(problem, tmp_path / "dumped.json")
+    again, _ = load_problem(tmp_path / "dumped.json")
+    for name in ("initial_distribution", "stage_costs", "terminal_cost"):
+        assert np.array_equal(getattr(again, name), getattr(problem, name)), name
+    assert np.array_equal(again.baseline_kernels.table, problem.baseline_kernels.table)
+    assert np.array_equal(again.baseline_policy.table, problem.baseline_policy.table)
+    assert again.baseline_kernels.table.shape == (0, 2, 2, 2)
+
+    path, dumped = tmp_path / "h0.json", tmp_path / "cli-dumped.json"
+    path.write_text(json.dumps(horizon_zero_doc()))
+    args = ["solve", "--formulation", "central", "--out", str(tmp_path / "sol.json")]
+    assert main(args + ["--problem", str(path), "--dump-problem", str(dumped)]) == 0
+    assert main(args + ["--problem", str(dumped)]) == 0
+
+
+def test_a_stage_free_empty_table_is_refused_past_horizon_zero():
+    doc = minimal_doc() | {"transitions": []}
+    with pytest.raises(ProblemFormatError, match=r"transitions has shape \(0,\)"):
+        parse_problem(doc)
+
+
+@pytest.mark.parametrize(
+    "command, reasons",
+    [
+        (
+            ["solve", "--formulation", "soc", "--format", "csv"],
+            ["V holds a non-finite value, which CSV output refuses"],
+        ),
+        (
+            ["solve", "--formulation", "central"],
+            ["pi(0, 0): non-finite entry", "pi(0, 1): non-finite entry"],
+        ),
+        (
+            ["mm", "--target", "soc", "--lambda-p", "1.0", "--tol", "1e-8", "--max-iters", "5"],
+            ["pi(0, 0): non-finite entry", "pi(0, 1): non-finite entry"],
+        ),
+        (
+            ["em", "--lambda", "1.0", "--tol", "1e-8", "--max-iters", "5"],
+            ["desirability table is inconsistent with the problem: policy row sums deviate by nan"],
+        ),
+        (["verify"], ["pi(0, 0): non-finite entry", "pi(0, 1): non-finite entry"]),
+    ],
+    ids=["solve-soc-csv", "solve-central", "mm", "em", "verify"],
+)
+def test_an_overflowing_problem_prints_only_its_reasons(tmp_path, capsys, command, reasons):
+    # each cost passes validation, but their sums overflow to inf; no
+    # filterwarnings mark, so a numpy warning would fail this test
+    m1, _ = load_bundled_problem("m1")
+    huge = m1.replace(
+        stage_costs=np.full(m1.stage_costs.shape, 1.5e308),
+        terminal_cost=np.full(m1.terminal_cost.shape, 1.5e308),
+    )
+    path = tmp_path / "huge.json"
+    dump_problem(huge, path)
+    out = [] if command == ["verify"] else ["--out", str(tmp_path / "out")]
+    assert main(command + ["--problem", str(path)] + out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == reasons
+    assert captured.out == ""

@@ -16,7 +16,7 @@ from klctrl import (
     solve_formulation,
 )
 from klctrl.risk import entropic_risk_rows, tilted_rows
-from klctrl.solvers import expected_cost_under, regularized_policy_value, rsoc_value
+from klctrl.solvers import _evaluate, expected_cost_under, regularized_policy_value, rsoc_value
 from klctrl.verify import central_no_improvement, perturb_kernel, perturb_policy
 
 from conftest import make_m1, random_problem, sparse_problem
@@ -273,6 +273,32 @@ def test_rsoc_value_matches_closed_form_enumeration(rng):
         assert rsoc_value(problem, policy, problem.lambda_s) == pytest.approx(
             evaluate_objective(problem, Formulation.RSOC, policy), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("lam_s", [0.8, -0.6])
+@pytest.mark.parametrize("form", list(Formulation), ids=lambda f: f.value)
+def test_backward_evaluator_agrees_with_enumeration_on_every_formulation(rng, form, lam_s):
+    # the same arguments on both sides: a perturbed kernel where both sides
+    # are free, none otherwise; doc and sp_doc are scored on Dirac problems
+    # and refused, with one message, on stochastic ones
+    both_free = form in (Formulation.CENTRAL, Formulation.SP_RSOC)
+    for dirac in (False, True):
+        for _ in range(5):
+            problem = random_problem(
+                rng, max_states=3, max_actions=3, max_horizon=3, dirac=dirac, lambda_s=lam_s
+            )
+            policy = perturb_policy(problem.baseline_policy, rng)
+            kernel = perturb_kernel(problem.baseline_kernels, rng) if both_free else None
+            if form in (Formulation.DOC, Formulation.SP_DOC) and not dirac:
+                with pytest.raises(ValueError) as fast:
+                    _evaluate(problem, form, policy, kernel)
+                with pytest.raises(ValueError) as slow:
+                    evaluate_objective(problem, form, policy, kernel)
+                assert str(fast.value) == str(slow.value)
+                continue
+            assert _evaluate(problem, form, policy, kernel) == pytest.approx(
+                evaluate_objective(problem, form, policy, kernel), abs=1e-9
+            )
 
 
 @pytest.mark.parametrize("lam_s", [0.5, -0.7, 40.0, -40.0, 700.0, -700.0])
