@@ -209,7 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="chunk_size",
         type=int,
         default=65536,
-        help="samples drawn and rolled out at once; bounds memory and does not change the result",
+        help=(
+            "samples drawn and rolled out at once, at most 8192; bounds memory "
+            "and does not change the result"
+        ),
     )
     sample.add_argument("--out", required=True)
     sample.set_defaults(func=_cmd_sample_z)

@@ -16,6 +16,7 @@ over the support of rho.  Only rows whose shifted sum underflows (below
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -27,6 +28,10 @@ from .risk import log_expect_exp, logsumexp
 # largest deviation from 1 of a reweighted policy row before its
 # desirability table is called inconsistent with the problem
 POLICY_ROW_TOL = 1e-8
+
+# most samples the path-integral sampler rolls out at once: one block's draws,
+# (SAMPLE_BLOCK, steps, 2) floats, stay cache-sized at moderate horizons
+SAMPLE_BLOCK = 8192
 
 
 def _require_valid(problem: ControlProblem):
@@ -99,12 +104,33 @@ def _policy_log(problem: ControlProblem, lam: float, log_z: np.ndarray) -> Polic
         sums = rows.sum(axis=-1)
         gap = np.max(np.abs(sums - 1.0))
         if not gap <= POLICY_ROW_TOL:
+            _require_finite(problem, lam, log_z)
             raise ValueError(
                 "desirability table is inconsistent with the problem: policy row "
                 f"sums deviate by {gap:.3g}"
             )
         table[t] = rows / sums[:, None]
     return Policy(table)
+
+
+def _require_finite(problem: ControlProblem, lam: float, log_z: np.ndarray):
+    """Refuse a log z table that left the float range, naming the costs.
+
+    Such a table fails the row-sum test of ``_policy_log``, which would blame
+    the table; the cause is exp(-lam * cost) at this weight.  The entry named
+    is the last one, where the backward pass first left the range.
+    """
+    bad = np.argwhere(~np.isfinite(log_z[:-1]))
+    if bad.size:
+        t, x = bad[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = _action_log_weights(problem, lam, t, log_z[t + 1])[x]
+        # log z_{t+1} is finite below T, where -lam * c_T itself can overflow
+        over = (weights == np.inf).any() or (log_z[t + 1] == np.inf).any()
+        way = "overflows" if over else "underflows"
+        raise ValueError(
+            f"log z_{t}({x}) is {log_z[t, x]}: exp(-lam * cost) {way} at lam = {lam:g}"
+        )
 
 
 def policy_from_desirability(problem: ControlProblem, d: Desirability) -> Policy:
@@ -192,12 +218,15 @@ def path_integral_estimate(
     exp(-lam * cost-to-go).  Every uniform comes from one counter-based
     Philox stream keyed by ``seed``: coin j (0 picks the action, 1 the next
     state) of step k of sample i is draw number (i * max(steps, 1) + k) * 2 + j,
-    where steps = T - t.  The draws are taken chunk by chunk, each chunk
-    continuing the stream where the last one stopped.  So ``chunk_size``
-    bounds memory, O(num_samples + chunk_size * steps) beside one CDF copy
-    of the remaining policy and kernel tables, and the result depends only
-    on (seed, num_samples).  ``seed`` must be an integer in [0, 2**64).
-    Returns (estimate, standard error of the mean).
+    where steps = T - t.  Samples are drawn and rolled out in blocks of
+    min(chunk_size, SAMPLE_BLOCK, num_samples), each block continuing the
+    stream where the last one stopped, so the result depends only on
+    (seed, num_samples).  Memory is O(num_samples + min(chunk_size, 8192) *
+    steps) beside one padded CDF copy of the remaining policy and kernel
+    stages; a stride-0 (time-homogeneous) table gets a copy of one stage.
+    Each coin is inverted by bisection over its row's CDF, exactly: a
+    cumulative sum of non-negative masses never decreases.  ``seed`` must be
+    an integer in [0, 2**64).  Returns (estimate, standard error of the mean).
     """
     lam = check_weight(lam, "lam", positive=True)
     _require_valid(problem)
@@ -213,37 +242,28 @@ def path_integral_estimate(
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     steps = T - t
-    # Inverse-CDF tables of the remaining stages, built once and transposed
-    # so that CDF column j is one contiguous vector over the rows: the policy
-    # (steps, A, S) over states, the kernel (steps, S, S*A) over the flat row
-    # index state*A + action.
-    policy_cdf = (
-        np.cumsum(problem.baseline_policy.table[t:], axis=-1).transpose(0, 2, 1).copy()
-    )
-    kernel_cdf = (
-        np.cumsum(problem.baseline_kernels.table[t:], axis=-1)
-        .reshape(steps, S * A, S)
-        .transpose(0, 2, 1)
-        .copy()
-    )
+    policy_cdf, policy_width = _search_table(problem.baseline_policy.table[t:])
+    kernel_cdf, kernel_width = _search_table(problem.baseline_kernels.table[t:])
     stage_costs = problem.stage_costs[t:].reshape(steps, S * A)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     values = np.empty(num_samples)
-    # one buffer refilled per chunk, so a chunk's draws never coexist with
-    # the previous chunk's
-    buffer = np.empty((min(chunk_size, num_samples), max(steps, 1), 2))
-    for lo in range(0, num_samples, chunk_size):
-        hi = min(lo + chunk_size, num_samples)
+    block = min(chunk_size, SAMPLE_BLOCK, num_samples)
+    # one buffer refilled per block, so a block's draws never coexist with
+    # the previous block's
+    buffer = np.empty((block, max(steps, 1), 2))
+    for lo in range(0, num_samples, block):
+        hi = min(lo + block, num_samples)
         draws = rng.random(out=buffer[: hi - lo])
         state = np.full(hi - lo, x)
         cost = np.zeros(hi - lo)
         for k in range(steps):
-            # both coins of step k, each contiguous over the chunk
+            # both coins of step k, each contiguous over the block
             u_action, u_next = draws[:, k].T.copy()
-            action = _count_at_most(policy_cdf[k], state, u_action)
-            row = state * A + action
+            row = _bisect(policy_cdf[k], state * policy_width, policy_width, u_action)
+            row -= state * (policy_width - A)  # state * A + action
             cost += stage_costs[k].take(row)
-            state = _count_at_most(kernel_cdf[k], row, u_next)
+            state = _bisect(kernel_cdf[k], row * kernel_width, kernel_width, u_next)
+            state &= kernel_width - 1  # the offset within the row
         cost += problem.terminal_cost[state]
         values[lo:hi] = np.exp(-lam * cost)
     estimate = float(values.mean())
@@ -257,15 +277,33 @@ def path_integral_estimate(
     return estimate, stderr
 
 
-def _count_at_most(cdf_columns: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample: for each row, the number of its CDF entries <= u,
-    capped at the last index.
+def _search_table(stages: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Bisection table of the CDF rows of ``stages`` (steps, ..., K).
 
-    ``cdf_columns[j, r]`` is entry j of the CDF of row r.  A CDF of
-    nonnegative entries never decreases, so the cap is the same as counting
-    all columns but the last.
+    Each row keeps its CDF entries but the last, padded with +inf to the
+    smallest power of two P >= K, and each stage becomes one flat vector of
+    rows * P entries.  A stride-0 (time-homogeneous) table builds one stage
+    and broadcasts it over the steps.  Returns (table, P).
     """
-    index = np.zeros(rows.shape[0], dtype=np.intp)
-    for column in cdf_columns[:-1]:
-        index += column.take(rows) <= u
+    K = stages.shape[-1]
+    width = 1 << (K - 1).bit_length()
+    distinct = stages[:1] if stages.strides[0] == 0 else stages
+    padded = np.full(distinct.shape[:-1] + (width,), np.inf)
+    np.cumsum(distinct[..., :-1], axis=-1, out=padded[..., : K - 1])
+    stage = math.prod(padded.shape[1:])
+    return np.broadcast_to(padded.reshape(len(distinct), stage), (len(stages), stage)), width
+
+
+def _bisect(cdf: np.ndarray, index: np.ndarray, width: int, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample by bisection, in place.
+
+    ``cdf`` is one stage of ``_search_table`` and ``index`` holds each row's
+    start in it, row * width.  A row's entries never decrease and its last
+    is +inf, which u < 1 never reaches, so the entries <= u form a prefix;
+    log2(width) halvings add its length to ``index``, which is returned.
+    """
+    half = width // 2
+    while half:
+        index += (cdf[half - 1 :].take(index) <= u) * half
+        half //= 2
     return index

@@ -73,6 +73,18 @@ def test_inconsistent_table_is_rejected(m1):
         policy_from_desirability(m1, broken)
 
 
+@pytest.mark.parametrize("cost, way", [(1.5e308, "underflows"), (-1.5e308, "overflows")])
+def test_a_desirability_past_the_float_range_names_the_costs(m1, cost, way):
+    # each cost is finite, but the two along a path sum past the float range
+    huge = m1.replace(
+        stage_costs=np.full(m1.stage_costs.shape, cost),
+        terminal_cost=np.full(m1.terminal_cost.shape, cost),
+    )
+    message = rf"^log z_0\(1\) is nan: exp\(-lam \* cost\) {way} at lam = 1$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+        policy_from_desirability(huge, linear_backward(huge, 1.0))
+
+
 def test_transform_round_trip(rng):
     values = rng.uniform(-2.0, 5.0, size=(4, 3))
     for lam in (0.2, 1.0, 7.0):
@@ -233,6 +245,19 @@ def test_path_integral_memory_is_bounded_by_the_chunk(rng):
     tracemalloc.start()
     try:
         path_integral_estimate(problem, 1.0, 0, 0, num_samples=200_000, seed=1, chunk_size=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_path_integral_memory_is_bounded_by_the_block_whatever_the_chunk(rng):
+    # a chunk of 10**6 samples would draw 200000 * 40 * 2 * 8 bytes = 128 MB
+    # at once; a block of SAMPLE_BLOCK = 8192 samples draws 5.2 MB
+    problem = random_problem(rng, num_states=4, num_actions=3, horizon=40)
+    tracemalloc.start()
+    try:
+        path_integral_estimate(problem, 1.0, 0, 0, num_samples=200_000, seed=1, chunk_size=10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

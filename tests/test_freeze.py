@@ -17,6 +17,7 @@ from klctrl import (
     compose,
     linear_backward,
     load_problem,
+    path_integral_estimate,
     policy_from_desirability,
     solve_central,
     solve_formulation,
@@ -127,6 +128,41 @@ def test_homogeneous_file_solves_bitwise_as_full_tables(tmp_path, form):
 def test_homogeneous_file_linear_pass_is_bitwise_as_full_tables(tmp_path):
     (hom, _), (full, _) = _homogeneous_pair(tmp_path)
     assert _same_bits(linear_backward(hom, 0.7).log_z, linear_backward(full, 0.7).log_z)
+
+
+def test_homogeneous_file_samples_bitwise_as_full_tables(tmp_path):
+    (hom, _), (full, _) = _homogeneous_pair(tmp_path)
+    for t, x, n, chunk in [(0, 0, 3000, 65536), (2, 3, 3000, 333), (4, 7, 50, 1), (5, 1, 100, 7)]:
+        out = path_integral_estimate(hom, 0.7, t, x, n, 11, chunk_size=chunk)
+        assert out == path_integral_estimate(full, 0.7, t, x, n, 11, chunk_size=chunk)
+
+
+def test_sampling_a_homogeneous_file_holds_one_stage(tmp_path):
+    rng = np.random.default_rng(4)
+    S, A, T = 60, 5, 400
+    doc = {
+        "horizon": T,
+        "num_states": S,
+        "num_actions": A,
+        "initial_distribution": _rows(rng, (S,)).tolist(),
+        "time_homogeneous": True,
+        "transitions": _rows(rng, (S, A, S)).tolist(),
+        "baseline_policy": _rows(rng, (S, A)).tolist(),
+        "stage_costs": rng.random((S, A)).tolist(),
+        "terminal_cost": rng.random(S).tolist(),
+    }
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(doc))
+    problem, _ = load_problem(path)
+    tracemalloc.start()
+    try:
+        path_integral_estimate(problem, 1.0, 0, 0, num_samples=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one stage's padded kernel CDF is 60 * 5 * 64 * 8 bytes = 154 kB; the
+    # CDFs of all 400 stages would take 58 MB
+    assert peak < 2 * 2**20
 
 
 def test_tables_built_from_a_homogeneous_problem_are_c_contiguous(tmp_path, monkeypatch):

@@ -840,7 +840,7 @@ def test_a_stage_free_empty_table_is_refused_past_horizon_zero():
         ),
         (
             ["em", "--lambda", "1.0", "--tol", "1e-8", "--max-iters", "5"],
-            ["desirability table is inconsistent with the problem: policy row sums deviate by nan"],
+            ["log z_0(1) is nan: exp(-lam * cost) underflows at lam = 1"],
         ),
         (["verify"], ["pi(0, 0): non-finite entry", "pi(0, 1): non-finite entry"]),
     ],
