@@ -12,12 +12,22 @@ matrix-vector product against z_{t+1} / max z_{t+1}, and the action step
 E_rho[exp(-lam c_t) E_iota[z_{t+1}]] shifts each state's row by its maximum
 over the support of rho.  Only rows whose shifted sum underflows (below
 ``risk.UNDERFLOW_SUM``) are redone in the log domain.
+
+The pass keeps its action log-weights W_t = log(exp(-lam c_t) E_iota[z_{t+1}]),
+a (T, S, A) table, and the policy rho exp(W_t) / z_t reads them instead of
+passing over the kernels again: each kernel stage is read once.  The policy
+is reweighted, summed and checked for the whole table at once.  A
+``Desirability`` from ``linear_backward`` (or a ``compose`` component) records
+its problem and W; ``policy_from_desirability`` reuses W only when it is
+given that same problem object, and otherwise rebuilds W from the problem it
+is given, so a table is always checked against that problem's kernels and
+costs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -42,10 +52,19 @@ def _require_valid(problem: ControlProblem):
 
 @dataclass(frozen=True)
 class Desirability:
-    """Exponentiated value table z_t(x) = exp(-lam V_t(x)), stored as log z."""
+    """Exponentiated value table z_t(x) = exp(-lam V_t(x)), stored as log z.
+
+    A table from ``linear_backward`` or a ``compose`` component also records
+    (problem, W): the problem it was solved for and the pass's (T, S, A)
+    action log-weights, both read-only.  ``policy_from_desirability`` reads W
+    when it is given that same problem object (``is``).  The record is set
+    once and is not an init field, so ``dataclasses.replace``,
+    ``to_desirability`` and a hand-built table carry none.
+    """
 
     log_z: np.ndarray  # (T+1, S)
     lam: float
+    _source: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def z(self) -> np.ndarray:
@@ -71,45 +90,61 @@ def _action_log_weights(problem: ControlProblem, lam: float, t: int, log_z_next:
     return inner - lam * problem.stage_costs[t]
 
 
-def _backward_log(problem: ControlProblem, lam: float, log_z_terminal: np.ndarray) -> np.ndarray:
-    """Run the linear recursion from an arbitrary terminal log-desirability."""
+def _backward_log(problem: ControlProblem, lam: float, log_z_terminal: np.ndarray):
+    """Run the linear recursion from an arbitrary terminal log-desirability.
+
+    Returns (log z, W): the (T+1, S) table and the (T, S, A) action
+    log-weights ``_action_log_weights`` of every stage, which the policy
+    reweights.
+    """
     T, S = problem.horizon, problem.num_states
     rho = problem.baseline_policy.table
     log_z = np.empty((T + 1, S))
+    W = np.empty(rho.shape)
     log_z[T] = log_z_terminal
     for t in reversed(range(T)):
-        log_z[t] = log_expect_exp(rho[t], _action_log_weights(problem, lam, t, log_z[t + 1]))
-    return log_z
+        W[t] = _action_log_weights(problem, lam, t, log_z[t + 1])
+        log_z[t] = log_expect_exp(rho[t], W[t])
+    return log_z, W
+
+
+def _recorded(d: Desirability, problem: ControlProblem, W: np.ndarray) -> Desirability:
+    """``d`` with its pass's (problem, W) recorded; log z and W become
+    read-only, so the recorded W cannot go stale."""
+    d.log_z.flags.writeable = False
+    W.flags.writeable = False
+    object.__setattr__(d, "_source", (problem, W))
+    return d
 
 
 def linear_backward(problem: ControlProblem, lam: float) -> Desirability:
     """z_T = exp(-lam c_T); z_t = E_rho[exp(-lam c_t) E_iota[z_{t+1}]]."""
     lam = check_weight(lam, "lam", positive=True)
     _require_valid(problem)
-    log_z = _backward_log(problem, lam, -lam * problem.terminal_cost)
-    return Desirability(log_z, lam)
+    log_z, W = _backward_log(problem, lam, -lam * problem.terminal_cost)
+    return _recorded(Desirability(log_z, lam), problem, W)
 
 
-def _policy_log(problem: ControlProblem, lam: float, log_z: np.ndarray) -> Policy:
-    """Reweighted baseline policy rho * r * E_iota[z'] / z, from log tables."""
+def _policy_log(problem: ControlProblem, lam: float, log_z: np.ndarray, W: np.ndarray) -> Policy:
+    """Reweighted baseline policy rho * exp(W) / z for every stage at once,
+    from the log tables and the (T, S, A) action log-weights W."""
     rho = problem.baseline_policy.table
-    table = np.zeros(rho.shape)
-    for t in range(problem.horizon):
-        g = _action_log_weights(problem, lam, t, log_z[t + 1]) - log_z[t][:, None]
-        # exp(log rho + g), not rho * exp(g): g can pass the overflow bound
-        # where rho is tiny.
-        with np.errstate(divide="ignore", over="ignore"):
-            rows = np.exp(np.log(rho[t]) + g)
-        rows[rho[t] == 0] = 0.0
-        sums = rows.sum(axis=-1)
-        gap = np.max(np.abs(sums - 1.0))
-        if not gap <= POLICY_ROW_TOL:
-            _require_finite(problem, lam, log_z)
-            raise ValueError(
-                "desirability table is inconsistent with the problem: policy row "
-                f"sums deviate by {gap:.3g}"
-            )
-        table[t] = rows / sums[:, None]
+    # in C order, as W is: a stride-0 rho must not choose the layout
+    table = W - log_z[:-1, :, None]
+    # exp(log rho + g), not rho * exp(g): g can pass the overflow bound
+    # where rho is tiny.
+    with np.errstate(divide="ignore", over="ignore"):
+        np.exp(np.add(np.log(rho), table, out=table), out=table)
+    table[rho == 0] = 0.0
+    sums = table.sum(axis=-1)
+    gap = np.max(np.abs(sums - 1.0), initial=0.0)
+    if not gap <= POLICY_ROW_TOL:
+        _require_finite(problem, lam, log_z)
+        raise ValueError(
+            "desirability table is inconsistent with the problem: policy row "
+            f"sums deviate by {gap:.3g}"
+        )
+    table /= sums[..., None]
     return Policy(table)
 
 
@@ -134,8 +169,22 @@ def _require_finite(problem: ControlProblem, lam: float, log_z: np.ndarray):
 
 
 def policy_from_desirability(problem: ControlProblem, d: Desirability) -> Policy:
-    """Optimal policy of the synchronized problem, read off the z table."""
-    return _policy_log(problem, d.lam, d.log_z)
+    """Optimal policy of the synchronized problem, read off the z table.
+
+    The policy reweights rho by the action log-weights W of the pass that
+    built ``d``, for the whole table at once.  W is read from ``d``'s record
+    when ``problem`` is the recorded problem object; otherwise it is rebuilt
+    stage by stage from ``problem``'s kernels and costs, so a table passed
+    with another problem is checked against that problem.
+    """
+    source = d._source
+    if source is not None and source[0] is problem:
+        W = source[1]
+    else:
+        W = np.empty(problem.baseline_policy.table.shape)
+        for t in range(problem.horizon):
+            W[t] = _action_log_weights(problem, d.lam, t, d.log_z[t + 1])
+    return _policy_log(problem, d.lam, d.log_z, W)
 
 
 @dataclass(frozen=True)
@@ -179,16 +228,15 @@ def compose(problem: ControlProblem, components: ComponentSet, lam: float) -> Co
     _require_valid(problem)
     if components.terminal_costs.shape[1] != problem.num_states:
         raise ValueError("component terminal costs must have one entry per state")
-    log_z_parts = np.stack(
-        [
-            _backward_log(problem, lam, np.log(g) - lam * tc)
-            for tc, g in zip(components.terminal_costs, components.gammas)
-        ]
-    )  # (N, T+1, S)
+    passes = [
+        _backward_log(problem, lam, np.log(g) - lam * tc)
+        for tc, g in zip(components.terminal_costs, components.gammas)
+    ]
+    log_z_parts = np.stack([part for part, _ in passes])  # (N, T+1, S)
     log_z = logsumexp(log_z_parts, axis=0)
     weights = np.exp(log_z_parts - log_z[None])
     component_policies = [
-        _policy_log(problem, lam, part) for part in log_z_parts
+        _policy_log(problem, lam, part, W) for part, (_, W) in zip(log_z_parts, passes)
     ]
     mixture = np.zeros(problem.baseline_policy.table.shape)
     for n, pol in enumerate(component_policies):
@@ -196,7 +244,10 @@ def compose(problem: ControlProblem, components: ComponentSet, lam: float) -> Co
         mixture += weights[n, :-1][:, :, None] * pol.table
     return Composition(
         composite=Desirability(log_z, lam),
-        components=[Desirability(part, lam) for part in log_z_parts],
+        components=[
+            _recorded(Desirability(part, lam), problem, W)
+            for part, (_, W) in zip(log_z_parts, passes)
+        ],
         weights=weights,
         component_policies=component_policies,
         mixture_policy=Policy(mixture),

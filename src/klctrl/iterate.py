@@ -155,8 +155,8 @@ def _e_step(problem: ControlProblem, policy: Policy, lam: float):
     recursion.
     """
     sub = problem.replace(baseline_policy=policy)
-    log_z = _backward_log(sub, lam, -lam * problem.terminal_cost)
-    conditional = _policy_log(sub, lam, log_z).table
+    log_z, W = _backward_log(sub, lam, -lam * problem.terminal_cost)
+    conditional = _policy_log(sub, lam, log_z, W).table
     V = -log_z / lam
     iota = problem.baseline_kernels.table
     table = policy.table.copy()

@@ -55,32 +55,35 @@ def logsumexp(a, axis=-1):
 
 
 def _log_sum(mu: np.ndarray, g: np.ndarray):
-    """(e, s, log_s, low, w) for s = sum_y mu exp(g - shift) along the last axis.
+    """(terms, s, log_s, low, w) for s = sum_y mu exp(g - shift) along the last axis.
 
-    e = exp(g - shift) <= 1 on the support of ``mu``; s is raised to
-    ``UNDERFLOW_SUM``; log_s = log sum_y mu exp(g).  The rows ``low`` whose
-    sum fell below the bound have log_s redone from their log terms
-    w = log mu + g, which are None when no row is low.
+    exp(g - shift) <= 1 on the support of ``mu``.  ``terms`` is the shared
+    vector exp(g - shift) itself, whose products with ``mu`` are never formed
+    (it has fewer axes than ``mu``), or else the summed products
+    mu exp(g - shift), a fresh array.  s is raised to ``UNDERFLOW_SUM``;
+    log_s = log sum_y mu exp(g).  The rows ``low`` whose sum fell below the
+    bound have log_s redone from their log terms w = log mu + g, which are
+    None when no row is low.
     """
     shared = g.ndim == 1 and mu.ndim > 1
     if shared:
         shift = g.max()
-        e = np.exp(g - shift)
-        s = (mu.reshape(-1, mu.shape[-1]) @ e).reshape(mu.shape[:-1])
+        terms = np.exp(g - shift)
+        s = (mu.reshape(-1, mu.shape[-1]) @ terms).reshape(mu.shape[:-1])
     else:
         masked = np.where(mu > 0, g, -np.inf)
         top = masked.max(axis=-1, keepdims=True)
-        e = np.exp(masked - top)
-        s, shift = (mu * e).sum(axis=-1), top[..., 0]
+        terms = mu * np.exp(masked - top)
+        s, shift = terms.sum(axis=-1), top[..., 0]
     low = s < UNDERFLOW_SUM
+    if not low.any():
+        return terms, s, np.log(s) + shift, low, None
     s = np.maximum(s, UNDERFLOW_SUM)
     log_s = np.asarray(np.log(s) + shift)
-    w = None
-    if low.any():
-        with np.errstate(divide="ignore"):
-            w = np.log(mu[low]) + (g if shared else g[low])
-        log_s[low] = logsumexp(w)
-    return e, s, log_s, low, w
+    with np.errstate(divide="ignore"):
+        w = np.log(mu[low]) + (g if shared else g[low])
+    log_s[low] = logsumexp(w)
+    return terms, s, log_s, low, w
 
 
 def log_expect_exp(mu, g) -> np.ndarray:
@@ -157,8 +160,8 @@ def risk_and_tilted_rows(mu: np.ndarray, f: np.ndarray, lam: float):
     """(``entropic_risk_rows(mu, f, lam)``, ``tilted_rows(mu, f, lam)``) from one
     shift: the exponentials of the table are taken once and serve both."""
     mu = np.asarray(mu, dtype=float)
-    e, s, log_s, low, w = _log_sum(mu, -lam * np.asarray(f, dtype=float))
-    out = mu * e
+    terms, s, log_s, low, w = _log_sum(mu, -lam * np.asarray(f, dtype=float))
+    out = mu * terms if terms.ndim < mu.ndim else terms
     out /= s[..., None]
     if w is not None:
         out[low] = np.exp(w - log_s[low][..., None])

@@ -10,11 +10,15 @@ Checks that do not apply to the instance (wrong sign of lambda_s, missing
 weights, infeasible deterministic-policy sweeps) are skipped, not failed.
 The checks enumerate the baseline trajectories, so a problem whose
 enumeration exceeds the trajectory cap raises ``EnumerationCapError`` (exit
-code 2 from the CLI); only the infeasible policy sweeps are skipped.
+code 2 from the CLI); only the infeasible policy sweeps are skipped.  A
+``ValueError`` from a solve or a table wrap (say, costs whose sums overflow)
+fails the check it interrupted, with the error text as the detail, and the
+remaining groups still run.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -84,6 +88,18 @@ def central_no_improvement(problem, sol, opt, rng, num_perturbations) -> float:
     return worst
 
 
+@contextmanager
+def _failing(results: List[CheckResult], *names: str):
+    """Run one check group; a ValueError inside it fails the first of
+    ``names`` not yet recorded, with the error text as the detail."""
+    try:
+        yield
+    except ValueError as exc:
+        done = {res.name for res in results}
+        name = next(name for name in names if name not in done)
+        results.append(CheckResult(name, "fail", str(exc)))
+
+
 def run_checks(
     problem: ControlProblem,
     components: Optional[ComponentSet] = None,
@@ -115,65 +131,75 @@ def run_checks(
 
     has_central = problem.lambda_p is not None and problem.lambda_s is not None
     if has_central:
-        sol = solve_central(problem)
-        resid = _central_bellman_residual(problem, sol)
-        record("central-bellman-residual", resid <= 1e-9, f"max residual {resid:.3g}")
-        opt = oracle.evaluate_objective(
-            problem, Formulation.CENTRAL, sol.pi_star, sol.tau_star
-        )
-        gap = abs(opt - initial_value(problem, sol))
-        record("central-objective-consistency", gap <= 1e-8, f"gap {gap:.3g}")
-        worst = central_no_improvement(problem, sol, opt, rng, NUM_PERTURBATIONS)
-        record(
+        with _failing(
+            results,
+            "central-bellman-residual",
+            "central-objective-consistency",
             "central-no-improvement",
-            worst <= 1e-9,
-            f"best improvement {worst:.3g}",
-        )
+        ):
+            sol = solve_central(problem)
+            resid = _central_bellman_residual(problem, sol)
+            record("central-bellman-residual", resid <= 1e-9, f"max residual {resid:.3g}")
+            opt = oracle.evaluate_objective(
+                problem, Formulation.CENTRAL, sol.pi_star, sol.tau_star
+            )
+            gap = abs(opt - initial_value(problem, sol))
+            record("central-objective-consistency", gap <= 1e-8, f"gap {gap:.3g}")
+            worst = central_no_improvement(problem, sol, opt, rng, NUM_PERTURBATIONS)
+            record("central-no-improvement", worst <= 1e-9, f"best improvement {worst:.3g}")
     else:
         skip("central-bellman-residual", "lambda_p/lambda_s not set")
 
     soc = rsoc = None
     try:
-        bf_policy, bf_value = oracle.brute_force_policy_search(problem, "soc")
-        soc = solve_formulation(problem, Formulation.SOC)
-        gap = abs(initial_value(problem, soc) - bf_value)
-        record("soc-matches-policy-sweep", gap <= 1e-9, f"gap {gap:.3g}")
-        if problem.lambda_s is not None:
-            _, bf_rsoc = oracle.brute_force_policy_search(
-                problem, "rsoc", problem.lambda_s
-            )
-            rsoc = solve_formulation(problem, Formulation.RSOC)
-            gap = abs(initial_value(problem, rsoc) - bf_rsoc)
-            record("rsoc-matches-policy-sweep", gap <= 1e-9, f"gap {gap:.3g}")
+        with _failing(results, "soc-matches-policy-sweep", "rsoc-matches-policy-sweep"):
+            bf_policy, bf_value = oracle.brute_force_policy_search(problem, "soc")
+            soc = solve_formulation(problem, Formulation.SOC)
+            gap = abs(initial_value(problem, soc) - bf_value)
+            record("soc-matches-policy-sweep", gap <= 1e-9, f"gap {gap:.3g}")
+            if problem.lambda_s is not None:
+                _, bf_rsoc = oracle.brute_force_policy_search(
+                    problem, "rsoc", problem.lambda_s
+                )
+                rsoc = solve_formulation(problem, Formulation.RSOC)
+                gap = abs(initial_value(problem, rsoc) - bf_rsoc)
+                record("rsoc-matches-policy-sweep", gap <= 1e-9, f"gap {gap:.3g}")
     except EnumerationCapError as exc:
         skip("soc-matches-policy-sweep", str(exc))
 
     if problem.has_deterministic_kernels() and problem.lambda_s is not None:
-        # reuse the sweep's solves; a sweep past the cap made none
-        soc = soc or solve_formulation(problem, Formulation.SOC)
-        rsoc = rsoc or solve_formulation(problem, Formulation.RSOC)
-        gap = float(np.max(np.abs(soc.V - rsoc.V)))
-        record("deterministic-collapse", gap <= 1e-10, f"max V gap {gap:.3g}")
+        with _failing(results, "deterministic-collapse"):
+            # reuse the sweep's solves; a sweep past the cap made none
+            soc = soc or solve_formulation(problem, Formulation.SOC)
+            rsoc = rsoc or solve_formulation(problem, Formulation.RSOC)
+            gap = float(np.max(np.abs(soc.V - rsoc.V)))
+            record("deterministic-collapse", gap <= 1e-10, f"max V gap {gap:.3g}")
 
     sync_lam = None
     if problem.lambda_s is not None and problem.lambda_s > 0:
         sync_lam = float(problem.lambda_s)
     if sync_lam is not None:
-        sync = problem.replace(lambda_p=sync_lam, lambda_s=sync_lam)
-        central = solve_central(sync)
-        d = linear_backward(problem, sync_lam)
-        gap = float(np.max(np.abs(d.values() - central.V)))
-        record("linear-bellman-equivalence", gap <= 1e-9, f"max V gap {gap:.3g}")
-        pol = policy_from_desirability(problem, d)
-        gap = float(np.max(np.abs(pol.table - central.pi_star.table), initial=0.0))
-        record("desirability-policy-equivalence", gap <= 1e-9, f"max gap {gap:.3g}")
-        posterior = oracle.exact_posterior(problem, problem.baseline_policy, sync_lam)
-        cond = oracle.conditional_policy(posterior)
-        reach = _reachable_mask(problem)
-        gap = float(
-            np.max(np.abs((cond.table - central.pi_star.table)[reach]), initial=0.0)
-        )
-        record("posterior-policy-equivalence", gap <= 1e-9, f"max gap {gap:.3g}")
+        with _failing(
+            results,
+            "linear-bellman-equivalence",
+            "desirability-policy-equivalence",
+            "posterior-policy-equivalence",
+        ):
+            sync = problem.replace(lambda_p=sync_lam, lambda_s=sync_lam)
+            central = solve_central(sync)
+            d = linear_backward(problem, sync_lam)
+            gap = float(np.max(np.abs(d.values() - central.V)))
+            record("linear-bellman-equivalence", gap <= 1e-9, f"max V gap {gap:.3g}")
+            pol = policy_from_desirability(problem, d)
+            gap = float(np.max(np.abs(pol.table - central.pi_star.table), initial=0.0))
+            record("desirability-policy-equivalence", gap <= 1e-9, f"max gap {gap:.3g}")
+            posterior = oracle.exact_posterior(problem, problem.baseline_policy, sync_lam)
+            cond = oracle.conditional_policy(posterior)
+            reach = _reachable_mask(problem)
+            gap = float(
+                np.max(np.abs((cond.table - central.pi_star.table)[reach]), initial=0.0)
+            )
+            record("posterior-policy-equivalence", gap <= 1e-9, f"max gap {gap:.3g}")
     else:
         skip("linear-bellman-equivalence", "needs lambda_s > 0")
 
@@ -181,26 +207,28 @@ def run_checks(
         if sync_lam is None:
             skip("compositionality", "needs lambda_s > 0")
         else:
-            comp = compose(problem, components, sync_lam)
-            direct = policy_from_desirability(problem, comp.composite)
-            gap_pi = float(
-                np.max(np.abs(comp.mixture_policy.table - direct.table), initial=0.0)
-            )
-            gap_w = float(np.max(np.abs(comp.weights.sum(axis=0) - 1.0)))
-            record(
-                "compositionality",
-                gap_pi <= 1e-10 and gap_w <= 1e-12,
-                f"policy gap {gap_pi:.3g}, weight-sum gap {gap_w:.3g}",
-            )
+            with _failing(results, "compositionality"):
+                comp = compose(problem, components, sync_lam)
+                direct = policy_from_desirability(problem, comp.composite)
+                gap_pi = float(
+                    np.max(np.abs(comp.mixture_policy.table - direct.table), initial=0.0)
+                )
+                gap_w = float(np.max(np.abs(comp.weights.sum(axis=0) - 1.0)))
+                record(
+                    "compositionality",
+                    gap_pi <= 1e-10 and gap_w <= 1e-12,
+                    f"policy gap {gap_pi:.3g}, weight-sum gap {gap_w:.3g}",
+                )
 
     if problem.lambda_p is not None:
-        _, trace = mm_solve(problem, "soc", problem.lambda_p, tol=1e-10, max_iters=200)
-        mono = all(
-            b <= a + 1e-12
-            for a, b in zip(trace.true_objective, trace.true_objective[1:])
-        )
-        stop = "converged" if trace.converged else "not converged"
-        record("mm-descent", mono, f"{stop} after {trace.iterations} iterations")
+        with _failing(results, "mm-descent"):
+            _, trace = mm_solve(problem, "soc", problem.lambda_p, tol=1e-10, max_iters=200)
+            mono = all(
+                b <= a + 1e-12
+                for a, b in zip(trace.true_objective, trace.true_objective[1:])
+            )
+            stop = "converged" if trace.converged else "not converged"
+            record("mm-descent", mono, f"{stop} after {trace.iterations} iterations")
     return results
 
 

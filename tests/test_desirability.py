@@ -1,12 +1,18 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from klctrl import desirability
 from klctrl import (
     ComponentSet,
+    Desirability,
+    Policy,
     ProblemValidationError,
+    TransitionKernel,
     compose,
+    em_solve,
     from_desirability,
     linear_backward,
     load_bundled_problem,
@@ -15,6 +21,7 @@ from klctrl import (
     solve_central,
     to_desirability,
 )
+from klctrl.problem_io import parse_problem, problem_to_dict
 
 from conftest import make_m1, random_problem, sparse_problem
 
@@ -382,3 +389,118 @@ def test_path_integral_standard_error_needs_no_second_sample_array():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _count_kernel_passes(monkeypatch, problem):
+    """The calls to log_expect_exp whose first argument is one kernel stage."""
+    stage = (problem.num_states, problem.num_actions, problem.num_states)
+    calls = []
+    original = desirability.log_expect_exp
+
+    def counting(mu, g):
+        if np.shape(mu) == stage:
+            calls.append(mu)
+        return original(mu, g)
+
+    monkeypatch.setattr(desirability, "log_expect_exp", counting)
+    return calls
+
+
+def test_each_kernel_stage_is_passed_over_once(monkeypatch, rng):
+    T = 5
+    problem = sparse_problem(rng, 6, 3, T, lambda_s=0.5)
+    calls = _count_kernel_passes(monkeypatch, problem)
+    policy_from_desirability(problem, linear_backward(problem, 0.5))
+    assert len(calls) == T
+    calls.clear()
+    em_solve(problem, 0.5, tol=0.0, max_iters=1)  # one E-step
+    assert len(calls) == T
+    calls.clear()
+    components = ComponentSet(rng.uniform(0.0, 2.0, size=(3, 6)), [0.5, 1.0, 2.0])
+    compose(problem, components, 0.5)
+    assert len(calls) == 3 * T
+
+
+def _dirac_rows(rng, problem):
+    """``problem`` with about a third of its policy rows put on one action."""
+    rho = problem.baseline_policy.table.copy()
+    T, S, A = rho.shape
+    for t, x in zip(*np.nonzero(rng.random((T, S)) < 0.35)):
+        rho[t, x] = np.eye(A)[rng.integers(A)]
+    return problem.replace(baseline_policy=Policy(rho))
+
+
+def _reuse_cases():
+    """(name, problem, lam): 45 seeded problems over sparse, full and Dirac
+    policy rows and lam in {0.5, 40, 700}; the large weights send rows
+    through the log-domain redo."""
+    for seed in range(45):
+        rng = np.random.default_rng(1000 + seed)
+        lam = (0.5, 40.0, 700.0)[seed % 3]
+        kind = ("sparse", "full", "dirac")[seed // 3 % 3]
+        if kind == "sparse":
+            problem = sparse_problem(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)), 4, lam)
+        else:
+            problem = random_problem(rng, max_states=7, max_actions=5, max_horizon=5)
+            if kind == "dirac":
+                problem = _dirac_rows(rng, problem)
+        yield f"{kind}-{seed}", problem, lam
+
+
+def _horizon_zero(rng):
+    p = random_problem(rng, horizon=1)
+    return p.replace(
+        horizon=0,
+        baseline_kernels=TransitionKernel(p.baseline_kernels.table[:0]),
+        baseline_policy=Policy(p.baseline_policy.table[:0]),
+        stage_costs=p.stage_costs[:0],
+    )
+
+
+def _homogeneous(rng):
+    p = sparse_problem(rng, 6, 3, 1, lambda_s=0.5)
+    doc = problem_to_dict(p) | {"horizon": 7, "time_homogeneous": True}
+    for key in ("transitions", "baseline_policy", "stage_costs"):
+        doc[key] = doc[key][0]
+    return parse_problem(doc)[0]
+
+
+def test_the_recorded_action_weights_give_the_recomputed_policy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cases = list(_reuse_cases())
+    cases += [("horizon-zero", _horizon_zero(rng), 1.0)]
+    cases += [("homogeneous", _homogeneous(rng), lam) for lam in (0.5, 700.0)]
+    assert cases[-1][1].baseline_policy.table.strides[0] == 0
+    for name, problem, lam in cases:
+        d = linear_backward(problem, lam)
+        reused = policy_from_desirability(problem, d).table
+        fresh = dataclasses.replace(d)
+        assert fresh._source is None, name
+        assert _same_bits(policy_from_desirability(problem, fresh).table, reused), name
+        # an equal problem that is another object rebuilds the weights too
+        assert _same_bits(policy_from_desirability(problem.replace(), d).table, reused), name
+        assert reused.flags.c_contiguous, name
+        assert not d.log_z.flags.writeable, name
+
+
+def test_a_table_passed_with_another_problem_is_checked_against_it(rng):
+    b = random_problem(rng, horizon=3)
+    a = b.replace(stage_costs=b.stage_costs + rng.uniform(0.3, 1.0, size=b.stage_costs.shape))
+    d = linear_backward(b, 1.0)
+    with pytest.raises(ValueError, match="inconsistent with the problem"):
+        policy_from_desirability(a, d)
+
+
+def test_an_inconsistent_table_reports_the_largest_gap_of_its_stages(rng):
+    # raising log z_0 by 0.1 scales the sums of stage 0 by e^-0.1; raising
+    # log z_T by 0.2 scales those of stage T-1 by e^0.2, the larger gap
+    problem = random_problem(rng, horizon=3)
+    log_z = linear_backward(problem, 1.0).log_z + np.array([0.1, 0.0, 0.0, 0.2])[:, None]
+    gap = f"{np.expm1(0.2):.3g}"
+    with pytest.raises(ValueError, match=rf"sums deviate by {gap}$"):
+        policy_from_desirability(problem, Desirability(log_z, 1.0))

@@ -687,6 +687,24 @@ def test_verify_residual_sees_a_fault_in_the_solver_rows(monkeypatch, capsys):
     assert results["central-bellman-residual"].status == "fail"
 
 
+def test_verify_fails_the_check_a_refused_solve_interrupts(monkeypatch):
+    # the refusal fails the check in progress, not the one before it in its
+    # group, and the later groups still run
+    import klctrl.verify as kv
+
+    def refused(problem, d):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(kv, "policy_from_desirability", refused)
+    problem, components = load_bundled_problem("chain5")
+    results = {r.name: r for r in kv.run_checks(problem, components)}
+    assert results["linear-bellman-equivalence"].status == "pass"
+    for name in ("desirability-policy-equivalence", "compositionality"):
+        assert (results[name].status, results[name].detail) == ("fail", "refused")
+    assert "posterior-policy-equivalence" not in results
+    assert results["mm-descent"].status == "pass"
+
+
 def test_cli_reports_an_out_path_that_is_a_directory(tmp_path, capsys):
     args = ["solve", "--problem", str(bundled_problem_path("m1")), "--formulation", "soc"]
     assert main(args + ["--out", str(tmp_path)]) == 1
@@ -842,13 +860,20 @@ def test_a_stage_free_empty_table_is_refused_past_horizon_zero():
             ["em", "--lambda", "1.0", "--tol", "1e-8", "--max-iters", "5"],
             ["log z_0(1) is nan: exp(-lam * cost) underflows at lam = 1"],
         ),
-        (["verify"], ["pi(0, 0): non-finite entry", "pi(0, 1): non-finite entry"]),
     ],
-    ids=["solve-soc-csv", "solve-central", "mm", "em", "verify"],
+    ids=["solve-soc-csv", "solve-central", "mm", "em"],
 )
 def test_an_overflowing_problem_prints_only_its_reasons(tmp_path, capsys, command, reasons):
     # each cost passes validation, but their sums overflow to inf; no
     # filterwarnings mark, so a numpy warning would fail this test
+    path = _overflowing_m1(tmp_path)
+    assert main(command + ["--problem", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == reasons
+    assert captured.out == ""
+
+
+def _overflowing_m1(tmp_path):
     m1, _ = load_bundled_problem("m1")
     huge = m1.replace(
         stage_costs=np.full(m1.stage_costs.shape, 1.5e308),
@@ -856,8 +881,23 @@ def test_an_overflowing_problem_prints_only_its_reasons(tmp_path, capsys, comman
     )
     path = tmp_path / "huge.json"
     dump_problem(huge, path)
-    out = [] if command == ["verify"] else ["--out", str(tmp_path / "out")]
-    assert main(command + ["--problem", str(path)] + out) == 1
+    return path
+
+
+def test_verify_on_an_overflowing_problem_fails_each_check_it_cannot_solve(tmp_path, capsys):
+    # a refused solve fails its check, names the reason there, and the
+    # remaining check groups still run; nothing reaches stderr
+    assert main(["verify", "--problem", str(_overflowing_m1(tmp_path))]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == reasons
-    assert captured.out == ""
+    refused = "pi(0, 0): non-finite entry; pi(0, 1): non-finite entry"
+    assert captured.out.splitlines() == [
+        "PASS validation",
+        "PASS enumeration-total-probability (sum = 1.0)",
+        f"FAIL central-bellman-residual ({refused})",
+        "FAIL soc-matches-policy-sweep (gap nan)",
+        "FAIL rsoc-matches-policy-sweep (gap nan)",
+        "FAIL deterministic-collapse (max V gap nan)",
+        f"FAIL linear-bellman-equivalence ({refused})",
+        f"FAIL mm-descent ({refused})",
+    ]
+    assert captured.err == ""
